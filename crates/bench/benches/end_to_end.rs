@@ -6,7 +6,7 @@ use lslp::{vectorize_function, VectorizerConfig};
 use lslp_target::CostModel;
 
 fn bench_pass(c: &mut Criterion) {
-    let tm = CostModel::skylake_like();
+    let tm = CostModel::skylake_avx2();
     let mut group = c.benchmark_group("vectorize_pass");
     for kernel in lslp_kernels::suite() {
         let f = kernel.compile();

@@ -10,7 +10,7 @@ use lslp::{vectorize_function, ScoreAgg, ScoreWeights, VectorizerConfig};
 use lslp_target::CostModel;
 
 fn total_cost(cfg: &VectorizerConfig) -> i64 {
-    let tm = CostModel::skylake_like();
+    let tm = CostModel::skylake_avx2();
     lslp_kernels::suite()
         .iter()
         .map(|k| {

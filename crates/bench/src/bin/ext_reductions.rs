@@ -8,7 +8,7 @@ use lslp::{vectorize_function, VectorizerConfig};
 use lslp_target::CostModel;
 
 fn main() {
-    let tm = CostModel::skylake_like();
+    let tm = CostModel::skylake_avx2();
     println!("Extension: horizontal-reduction seeds (cost; lower = better)\n");
     println!(
         "{:10} {:>14} {:>18} {:>20}",

@@ -10,7 +10,7 @@ use lslp::{vectorize_function, VectorizerConfig};
 use lslp_target::CostModel;
 
 fn main() {
-    let tm = CostModel::skylake_like();
+    let tm = CostModel::skylake_avx2();
     let plain = VectorizerConfig::lslp();
     let throttled = VectorizerConfig::preset("LSLP-Throttle").unwrap();
 

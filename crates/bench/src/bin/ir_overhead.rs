@@ -72,7 +72,7 @@ fn attempt_micro(proto: &Function, reps: usize) -> (f64, f64) {
 
 /// Median microseconds for one full vectorizer pass under a strategy.
 fn vectorize_micro(proto: &Function, strategy: RollbackStrategy, reps: usize) -> f64 {
-    let tm = CostModel::skylake_like();
+    let tm = CostModel::skylake_avx2();
     let cfg = VectorizerConfig { rollback: strategy, ..VectorizerConfig::lslp() };
     const BATCH: usize = 8;
     let mut samples = Vec::with_capacity(reps);

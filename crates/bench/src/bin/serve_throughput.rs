@@ -64,14 +64,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use lslp::{try_run_pipeline_with, VectorizerConfig};
-use lslp_analysis::AnalysisManager;
+use lslp::{CompileOptions, Session};
 use lslp_bench::format_table;
 use lslp_server::chaos::ChaosConfig;
 use lslp_server::metrics::percentiles;
 use lslp_server::protocol::{CompileRequest, ErrorKind};
 use lslp_server::{Client, Pool, PoolConfig, RetryOutcome, RetryPolicy, Server, ServerConfig};
-use lslp_target::CostModel;
 
 /// Generous per-request budget: large enough that the guard's deadline
 /// never fires on a healthy run, so server output is byte-identical to the
@@ -287,22 +285,20 @@ fn build_probe_expected(count: usize) -> Vec<Expected> {
 }
 
 fn expected_for(sources: Vec<(String, String)>) -> Vec<Expected> {
-    let tm = CostModel::skylake_like();
-    let mut am = AnalysisManager::new();
-    let mut cfg = VectorizerConfig::preset("LSLP").expect("LSLP preset");
-    cfg.time_budget_ms = Some(AMPLE_BUDGET_MS);
+    // The daemon's defaults for a request carrying only `timeout-ms=`.
+    let opts = CompileOptions::preset("LSLP")
+        .time_budget_ms(AMPLE_BUDGET_MS)
+        .build()
+        .expect("LSLP preset");
+    let mut session = Session::new(opts);
 
     sources
         .into_iter()
         .map(|(name, src)| {
-            let mut module = lslp_frontend::compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-            for f in &mut module.functions {
-                try_run_pipeline_with(f, &cfg, &tm, &mut am)
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
-            }
+            let artifact = session.compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
             let req =
                 CompileRequest { timeout_ms: Some(AMPLE_BUDGET_MS), ..CompileRequest::new(&src) };
-            Expected { name, req, payload: lslp_ir::print_module(&module) }
+            Expected { name, req, payload: artifact.ir() }
         })
         .collect()
 }

@@ -68,7 +68,7 @@ pub struct KernelRow {
 /// Panics on unknown configuration names or kernel execution failure —
 /// both indicate harness bugs.
 pub fn measure_kernel(k: &Kernel, configs: &[&str], iters: usize) -> KernelRow {
-    measure_kernel_on(k, configs, iters, &CostModel::skylake_like())
+    measure_kernel_on(k, configs, iters, &CostModel::skylake_avx2())
 }
 
 /// [`measure_kernel`] against an explicit target. The default-target
@@ -120,7 +120,7 @@ pub struct LoopKernelRow {
 ///
 /// Same conditions as [`measure_kernel`].
 pub fn measure_loop_kernel(k: &Kernel, configs: &[&str], iters: usize) -> LoopKernelRow {
-    measure_loop_kernel_on(k, configs, iters, &CostModel::skylake_like())
+    measure_loop_kernel_on(k, configs, iters, &CostModel::skylake_avx2())
 }
 
 /// [`measure_kernel_on`] through the whole pipeline ([`lslp::run_pipeline`])
@@ -190,7 +190,7 @@ pub struct BenchmarkRow {
 
 /// Measure one synthetic whole-program benchmark.
 pub fn measure_benchmark(wp: &WholeProgram, configs: &[&str]) -> BenchmarkRow {
-    let tm = CostModel::skylake_like();
+    let tm = CostModel::skylake_avx2();
     let mut static_cost = Vec::new();
     let mut weighted_cycles = Vec::new();
     let mut incidents = Vec::new();
@@ -231,7 +231,7 @@ pub fn measure_benchmark(wp: &WholeProgram, configs: &[&str]) -> BenchmarkRow {
 /// Individual runs are microseconds here, so the median is reported to
 /// suppress scheduler noise.
 pub fn measure_compile_time(k: &Kernel, cfg_name: &str, reps: usize) -> f64 {
-    let tm = CostModel::skylake_like();
+    let tm = CostModel::skylake_avx2();
     let cfg = options_for(cfg_name, &tm).config().clone();
     // Each sample batches several pipeline runs so a sample is comfortably
     // above timer resolution.
@@ -278,7 +278,7 @@ pub struct CompilePhases {
 /// optimization pipeline only (no frontend) via [`lslp::run_pipeline`]'s
 /// [`lslp::PipelineReport`] phase timers.
 pub fn measure_compile_phases(k: &Kernel, cfg_name: &str, reps: usize) -> CompilePhases {
-    let tm = CostModel::skylake_like();
+    let tm = CostModel::skylake_avx2();
     let cfg = options_for(cfg_name, &tm).config().clone();
     const BATCH: usize = 8;
     let m = lslp_frontend::compile(k.src).expect("kernel compiles");

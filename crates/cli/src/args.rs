@@ -43,12 +43,13 @@ pub struct Args {
     pub compare: Option<String>,
     /// Output file (stdout if absent).
     pub output: Option<String>,
-    /// Pass-guard mode override (`off` | `rollback` | `strict`), or a
-    /// rollback-strategy spelling (`snapshot` | `differential`); `None`
-    /// keeps the preset default (rollback with delta-log undo).
+    /// Pass-guard mode override (`off` | `rollback` | `strict`); `None`
+    /// keeps the preset default (rollback). Validated with the other
+    /// compile options by `lslp::CompileOptionsBuilder::build`.
     pub guard: Option<String>,
     /// Statement-packing strategy (`greedy` | `global`); `None` keeps the
     /// preset default (greedy, the paper's per-lane-cheapest commit).
+    /// Validated like [`Args::guard`].
     pub packing: Option<String>,
     /// Paranoid mode: differentially execute every committed transform
     /// against its pre-transform snapshot (slow).
@@ -150,10 +151,7 @@ OPTIONS:
                        attempt runs in a transaction, panic-isolated and
                        verified; rollback restores the scalar code on any
                        incident, strict aborts compilation, off disables
-                       the guard. Also accepts a rollback strategy:
-                       snapshot (restore from a full clone; debug fallback)
-                       or differential (delta rollback cross-checked
-                       against a snapshot; panics on divergence)
+                       the guard
     --packing <NAME>   greedy | global — statement-packing strategy
                        (default: greedy). greedy commits the cheapest
                        per-lane VF at each seed position (the paper's
@@ -227,25 +225,8 @@ pub fn parse(argv: &[String]) -> Result<Args, ArgError> {
                     .map_err(|e| ArgError(format!("bad --iters value: {e}")))?
             }
             "--compare" => args.compare = Some(value_of("--compare")?),
-            "--guard" => {
-                let mode = value_of("--guard")?;
-                if !matches!(
-                    mode.as_str(),
-                    "off" | "rollback" | "strict" | "snapshot" | "differential"
-                ) {
-                    return Err(ArgError(format!("unknown --guard mode `{mode}`")));
-                }
-                args.guard = Some(mode);
-            }
-            "--packing" => {
-                let strategy = value_of("--packing")?;
-                if !matches!(strategy.as_str(), "greedy" | "global") {
-                    return Err(ArgError(format!(
-                        "unknown --packing strategy `{strategy}` (try greedy, global)"
-                    )));
-                }
-                args.packing = Some(strategy);
-            }
+            "--guard" => args.guard = Some(value_of("--guard")?),
+            "--packing" => args.packing = Some(value_of("--packing")?),
             "--paranoid" => args.paranoid = true,
             "--print-pass-times" => args.print_pass_times = true,
             "--stats" => args.stats = true,
@@ -361,14 +342,23 @@ mod tests {
         assert!(p(&["k.slc", "--target"]).unwrap_err().0.contains("requires a value"));
     }
 
+    /// The error a compile under `argv` fails with: spellings are
+    /// validated by the options builder, not the parser.
+    fn compile_error(argv: &[&str]) -> lslp::LslpError {
+        const SRC: &str = "kernel k(i64* A, i64 i) { A[i] = 1; }";
+        crate::driver::run_on_source(&p(argv).unwrap(), SRC).unwrap_err()
+    }
+
     #[test]
     fn packing_flag_parses_and_validates() {
         let a = p(&["k.slc", "--packing", "global"]).unwrap();
         assert_eq!(a.packing.as_deref(), Some("global"));
         let d = p(&["k.slc"]).unwrap();
         assert_eq!(d.packing, None, "default packing is the preset's choice");
-        let e = p(&["k.slc", "--packing", "exhaustive"]).unwrap_err();
-        assert!(e.0.contains("try greedy, global"), "{e}");
+        let e = compile_error(&["-", "--packing", "exhaustive"]);
+        assert_eq!(e.class(), lslp::ErrorClass::Usage);
+        assert_eq!(e.exit_code(), 2);
+        assert!(e.to_string().contains("greedy, global"), "{e}");
         assert!(p(&["k.slc", "--packing"]).unwrap_err().0.contains("requires a value"));
     }
 
@@ -380,11 +370,15 @@ mod tests {
         let d = p(&["k.slc"]).unwrap();
         assert_eq!(d.guard, None);
         assert!(!d.paranoid);
-        assert!(p(&["k.slc", "--guard", "yolo"]).unwrap_err().0.contains("unknown --guard"));
-        let s = p(&["k.slc", "--guard", "snapshot"]).unwrap();
-        assert_eq!(s.guard.as_deref(), Some("snapshot"));
-        let diff = p(&["k.slc", "--guard", "differential"]).unwrap();
-        assert_eq!(diff.guard.as_deref(), Some("differential"));
+        // Unknown modes, including the rollback-strategy spellings, are
+        // bad invocations (exit 2).
+        for mode in ["yolo", "snapshot", "differential"] {
+            let e = compile_error(&["-", "--guard", mode]);
+            assert_eq!(e.class(), lslp::ErrorClass::Usage, "{mode}");
+            assert_eq!(e.exit_code(), 2);
+            assert!(e.to_string().contains(&format!("unknown guard mode `{mode}`")), "{e}");
+        }
+        assert!(p(&["k.slc", "--guard"]).unwrap_err().0.contains("requires a value"));
     }
 
     #[test]

@@ -2,22 +2,14 @@
 
 use std::fmt::Write as _;
 
-use lslp::api::{CompileOptions, LslpError, Session};
+use lslp::api::{Artifact, CompileOptions, LslpError, Session};
 use lslp::{vectorize_function, PipelineReport, VectorizerConfig};
-use lslp_analysis::AnalysisManager;
+use lslp_analysis::{AnalysisManager, CacheStats};
 use lslp_interp::{measure_cycles, run_function_traced, Memory, Value};
 use lslp_ir::{Function, Module, Opcode, ScalarType, Type};
 use lslp_target::CostModel;
 
 use crate::args::{Args, Emit};
-
-/// The driver's error type is the library's: see [`lslp::api::LslpError`]
-/// for the classification and exit-code mapping.
-pub type DriverError = LslpError;
-
-/// Re-export of [`lslp::api::ErrorClass`], kept under the historical
-/// driver name for callers that match on it.
-pub use lslp::api::ErrorClass as DriverErrorKind;
 
 /// Build validated [`CompileOptions`] from the parsed command line.
 fn options(args: &Args) -> Result<CompileOptions, LslpError> {
@@ -132,10 +124,11 @@ fn emit_report(m: &Module, reports: &[PipelineReport]) -> String {
 }
 
 /// Render the `--print-pass-times` / `--stats` sections (as `;` comments,
-/// so IR output stays parseable).
-fn emit_observability(m: &Module, reports: &[PipelineReport], times: bool, stats: bool) -> String {
+/// so IR output stays parseable): per-function pass rows, then the
+/// analysis cache once, as the session totals it is.
+fn emit_observability(artifact: &Artifact, cache: CacheStats, times: bool, stats: bool) -> String {
     let mut out = String::new();
-    for (f, r) in m.functions.iter().zip(reports) {
+    for (f, r) in artifact.module.functions.iter().zip(&artifact.reports) {
         if times {
             let _ = writeln!(out, "; pass times @{}:", f.name());
             for t in &r.pass_timings {
@@ -145,24 +138,31 @@ fn emit_observability(m: &Module, reports: &[PipelineReport], times: bool, stats
                     t.pass, t.time, t.rewrites
                 );
             }
-            let _ = writeln!(
-                out,
-                ";   {:<10} {:>10.1?}  (cache misses, included in pass times)",
-                "analyses", r.analysis_time
-            );
         }
         if stats {
             let _ = writeln!(out, "; statistics @{}:", f.name());
             for row in r.stats.rows() {
                 let _ = writeln!(out, ";   {:>6}  {} - {}", row.value, row.pass, row.counter);
             }
-            let cs = r.analysis_cache;
-            let _ = writeln!(
-                out,
-                ";   analysis cache: {} hit(s), {} miss(es), {} invalidation(s)",
-                cs.hits, cs.misses, cs.invalidations
-            );
         }
+    }
+    let _ = writeln!(out, "; session totals:");
+    if times {
+        // The last report read the session's manager last: its analysis
+        // time is the total.
+        let analysis_time = artifact.reports.last().map(|r| r.analysis_time).unwrap_or_default();
+        let _ = writeln!(
+            out,
+            ";   {:<10} {:>10.1?}  (cache misses, included in pass times)",
+            "analyses", analysis_time
+        );
+    }
+    if stats {
+        let _ = writeln!(
+            out,
+            ";   analysis cache: {} hit(s), {} miss(es), {} invalidation(s)",
+            cache.hits, cache.misses, cache.invalidations
+        );
     }
     out
 }
@@ -170,12 +170,7 @@ fn emit_observability(m: &Module, reports: &[PipelineReport], times: bool, stats
 /// Deterministically initialize arrays for `--run` (mirrors the evaluation
 /// harness: pointer parameters become arrays, scalar parameters get fixed
 /// values).
-fn run_kernels(
-    m: &Module,
-    iters: usize,
-    trace: bool,
-    tm: &CostModel,
-) -> Result<String, DriverError> {
+fn run_kernels(m: &Module, iters: usize, trace: bool, tm: &CostModel) -> Result<String, LslpError> {
     let mut out = String::new();
     for f in &m.functions {
         let mut mem = Memory::new();
@@ -330,8 +325,8 @@ pub fn run_on_source(args: &Args, src: &str) -> Result<String, LslpError> {
             if args.print_pass_times || args.stats {
                 out.push('\n');
                 out.push_str(&emit_observability(
-                    &artifact.module,
-                    &artifact.reports,
+                    &artifact,
+                    session.cache_stats(),
                     args.print_pass_times,
                     args.stats,
                 ));
@@ -349,6 +344,7 @@ pub fn run_on_source(args: &Args, src: &str) -> Result<String, LslpError> {
 mod tests {
     use super::*;
     use crate::args;
+    use lslp::api::ErrorClass;
 
     const SRC: &str = "kernel k(f64* A, f64* B, i64 i) {
                            for o in 0..4 { A[i+o] = B[i+o] * B[i+o]; }
@@ -515,6 +511,38 @@ mod tests {
     }
 
     #[test]
+    fn analysis_cache_prints_once_as_a_session_total() {
+        // Two identical kernels share the session's analysis manager, so
+        // the counters are cumulative: printed once per compile, and twice
+        // what one kernel alone costs — in both modes.
+        let two = format!(
+            "{}\n{}",
+            SRC.replace("kernel k(", "kernel k1("),
+            SRC.replace("kernel k(", "kernel k2(")
+        );
+        let cache_line = |out: &str| {
+            assert_eq!(out.matches("analysis cache:").count(), 1, "{out}");
+            let at = out.find("; session totals:").expect("session totals block");
+            let line = out[at..].lines().find(|l| l.contains("analysis cache:")).unwrap();
+            let counts: Vec<u64> = line
+                .split_whitespace()
+                .filter_map(|w| w.trim_end_matches(',').parse().ok())
+                .collect();
+            assert_eq!(counts.len(), 3, "{line}");
+            counts
+        };
+        for mode in [&["-", "--stats"][..], &["-", "--stats", "--pipeline"]] {
+            let a = args::parse(&mode.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap();
+            let one = cache_line(&run_on_source(&a, SRC).unwrap());
+            let both = run_on_source(&a, &two).unwrap();
+            assert!(both.contains("; statistics @k1:") && both.contains("; statistics @k2:"));
+            let doubled: Vec<u64> = one.iter().map(|n| 2 * n).collect();
+            assert_eq!(cache_line(&both), doubled, "{mode:?}:\n{both}");
+            assert!(one[1] > 0, "analyses are computed at least once: {one:?}");
+        }
+    }
+
+    #[test]
     fn unknown_config_is_reported() {
         let a = args::parse(&["-".to_string(), "--config".into(), "GCC".into()]).unwrap();
         let err = run_on_source(&a, SRC).unwrap_err();
@@ -533,12 +561,12 @@ mod tests {
         // Malformed input is the user's fault: exit 3 territory.
         let a = args::parse(&["-".to_string()]).unwrap();
         let err = run_on_source(&a, "kernel broken(").unwrap_err();
-        assert_eq!(err.class(), DriverErrorKind::Input);
+        assert_eq!(err.class(), ErrorClass::Input);
         assert_eq!(err.exit_code(), 3);
         // An unknown preset is a bad invocation: exit 2 territory.
         let a = args::parse(&["-".to_string(), "--config".into(), "GCC".into()]).unwrap();
         let err = run_on_source(&a, SRC).unwrap_err();
-        assert_eq!(err.class(), DriverErrorKind::Usage);
+        assert_eq!(err.class(), ErrorClass::Usage);
         assert_eq!(err.exit_code(), 2);
         let a = args::parse(&["-".to_string(), "--guard".into(), "rollback".into()]).unwrap();
         assert!(run_on_source(&a, SRC).is_ok());

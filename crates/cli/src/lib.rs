@@ -18,5 +18,5 @@ pub mod driver;
 pub mod fuzz;
 
 pub use args::{parse, Args, Emit};
-pub use driver::{run_on_source, DriverError, DriverErrorKind};
+pub use driver::run_on_source;
 pub use fuzz::run_fuzz;

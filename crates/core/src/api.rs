@@ -36,8 +36,8 @@ use lslp_ir::Module;
 use lslp_target::{TargetParseError, TargetSpec};
 
 use crate::config::{PackingStrategy, ReorderStrategy, Sabotage, ScoreWeights, VectorizerConfig};
-use crate::guard::{GuardMode, RollbackStrategy};
-use crate::pipeline::{try_run_pipeline_with, try_run_vectorize_only, PipelineReport};
+use crate::guard::GuardMode;
+use crate::pipeline::{self, PipelineReport, Schedule};
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -101,10 +101,7 @@ impl fmt::Display for OptionsError {
             }
             OptionsError::BadTarget(e) => write!(f, "{e}"),
             OptionsError::UnknownGuard(name) => {
-                write!(
-                    f,
-                    "unknown guard mode `{name}` (try off, rollback, strict, snapshot, differential)"
-                )
+                write!(f, "unknown guard mode `{name}` (try off, rollback, strict)")
             }
             OptionsError::BadValue { option, why } => write!(f, "bad {option} value: {why}"),
             OptionsError::Inconsistent { option, why } => {
@@ -329,12 +326,10 @@ impl CompileOptionsBuilder {
         self
     }
 
-    /// Guard mode by name (`off` | `rollback` | `strict`), or a rollback
-    /// *strategy* spelling: `snapshot` (rollback mode restoring from a full
-    /// pre-pass clone — the debug fallback) or `differential` (rollback mode
-    /// that performs the delta rollback *and* checks it against a snapshot,
-    /// panicking on divergence). Plain `rollback`/`strict` use the default
-    /// delta-log strategy.
+    /// Guard mode by name (`off` | `rollback` | `strict`). The rollback
+    /// strategy stays the delta-log default; the snapshot and differential
+    /// strategies are reference oracles set on
+    /// [`VectorizerConfig::rollback`] directly.
     pub fn guard(mut self, mode: &str) -> Self {
         self.guard = Some(mode.to_string());
         self
@@ -477,22 +472,8 @@ impl CompileOptionsBuilder {
             cfg.max_graph_nodes = nodes;
         }
         if let Some(mode) = &self.guard {
-            // `snapshot` / `differential` select a rollback *strategy* on top
-            // of rollback mode; the plain mode names keep the delta default.
-            match mode.as_str() {
-                "snapshot" => {
-                    cfg.guard = GuardMode::Rollback;
-                    cfg.rollback = RollbackStrategy::Snapshot;
-                }
-                "differential" => {
-                    cfg.guard = GuardMode::Rollback;
-                    cfg.rollback = RollbackStrategy::Differential;
-                }
-                _ => {
-                    cfg.guard = GuardMode::parse(mode)
-                        .ok_or_else(|| OptionsError::UnknownGuard(mode.clone()))?;
-                }
-            }
+            cfg.guard =
+                GuardMode::parse(mode).ok_or_else(|| OptionsError::UnknownGuard(mode.clone()))?;
         }
         if let Some(p) = &self.packing {
             // The knob parses like every other strategy knob
@@ -554,9 +535,10 @@ impl Artifact {
 }
 
 /// A compilation session: owns the options, the analysis cache, and the
-/// pass pipeline. Feed it SLC source with [`Session::compile`]; reuse one
-/// session for many compiles to keep the analysis-cache counters
-/// cumulative.
+/// pass pipeline. Feed it SLC source with [`Session::compile`]. Every
+/// function of every compile pulls its analyses from the session's one
+/// cache, so its counters ([`Session::cache_stats`] and each
+/// [`PipelineReport::analysis_cache`]) are cumulative over the session.
 #[derive(Clone, Debug)]
 pub struct Session {
     options: CompileOptions,
@@ -602,18 +584,14 @@ impl Session {
     /// [`LslpError::Internal`] when a strict-mode guard aborts; the failing
     /// function is left rolled back.
     pub fn optimize(&mut self, mut module: Module) -> Result<Artifact, LslpError> {
-        let cfg = self.options.config().clone();
-        let tm = self.options.target().clone();
+        let Session { options, am } = self;
+        let schedule = if options.pipeline() { Schedule::Full } else { Schedule::VectorizeOnly };
         let mut reports = Vec::with_capacity(module.functions.len());
         for f in &mut module.functions {
             // The analysis cache is keyed by mutation epoch, which is
             // process-wide unique, so sharing one manager across functions
             // is safe: a different function always misses.
-            let r = if self.options.pipeline() {
-                try_run_pipeline_with(f, &cfg, &tm, &mut self.am)
-            } else {
-                try_run_vectorize_only(f, &cfg, &tm)
-            };
+            let r = pipeline::run_with(f, options.config(), options.target(), am, schedule);
             reports.push(r.map_err(|e| LslpError::Internal(format!("@{}: {e}", f.name())))?);
         }
         Ok(Artifact { module, reports })
@@ -712,19 +690,24 @@ mod tests {
     }
 
     #[test]
-    fn guard_strategy_spellings_resolve() {
-        let opts = CompileOptions::preset("LSLP").guard("snapshot").build().unwrap();
-        assert_eq!(opts.config.guard, GuardMode::Rollback);
-        assert_eq!(opts.config.rollback, RollbackStrategy::Snapshot);
-
-        let opts = CompileOptions::preset("LSLP").guard("differential").build().unwrap();
-        assert_eq!(opts.config.guard, GuardMode::Rollback);
-        assert_eq!(opts.config.rollback, RollbackStrategy::Differential);
-
-        // Plain mode names keep the delta default.
-        let opts = CompileOptions::preset("LSLP").guard("strict").build().unwrap();
-        assert_eq!(opts.config.guard, GuardMode::Strict);
-        assert_eq!(opts.config.rollback, RollbackStrategy::Delta);
+    fn guard_strategy_spellings_are_rejected() {
+        // The rollback strategies are reference oracles on
+        // `VectorizerConfig::rollback`, not guard modes.
+        for spelling in ["snapshot", "differential"] {
+            let err = CompileOptions::preset("LSLP").guard(spelling).build().unwrap_err();
+            assert_eq!(err, OptionsError::UnknownGuard(spelling.into()));
+            assert!(err.to_string().contains("try off, rollback, strict"), "{err}");
+        }
+        // The mode names keep the delta default.
+        for (spelling, mode) in [
+            ("off", GuardMode::Off),
+            ("rollback", GuardMode::Rollback),
+            ("strict", GuardMode::Strict),
+        ] {
+            let opts = CompileOptions::preset("LSLP").guard(spelling).build().unwrap();
+            assert_eq!(opts.config.guard, mode);
+            assert_eq!(opts.config.rollback, crate::guard::RollbackStrategy::Delta);
+        }
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl FromStr for ReorderStrategy {
     }
 }
 
-/// Pre-rename spelling of [`ReorderStrategy`], kept so existing call sites
-/// keep compiling.
-#[deprecated(note = "renamed to `ReorderStrategy` for knob-naming coherence")]
-pub type ReorderKind = ReorderStrategy;
-
 /// Statement-packing strategy: how costed candidate packs are selected for
 /// commitment (see `lslp::packing` for the machinery).
 ///
@@ -429,13 +424,6 @@ mod tests {
         let err = "Global".parse::<PackingStrategy>().unwrap_err();
         assert_eq!(err.knob, "packing");
         assert!(err.to_string().contains("greedy, global"), "{err}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_reorder_kind_alias_still_compiles() {
-        let k: ReorderKind = ReorderStrategy::Opcode;
-        assert_eq!(k, ReorderStrategy::Opcode);
     }
 
     #[test]

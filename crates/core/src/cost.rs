@@ -177,7 +177,7 @@ mod tests {
         }
         let g = graph_for(&f, &VectorizerConfig::slp(), &stores);
         let um = f.use_map();
-        let report = graph_cost(&f, &g, &CostModel::skylake_like(), &um);
+        let report = graph_cost(&f, &g, &CostModel::skylake_avx2(), &um);
         assert_eq!(report.total, -4, "{}", g.dump(&f));
         assert_eq!(report.extract_cost, 0);
     }
@@ -203,7 +203,7 @@ mod tests {
         }
         let g = graph_for(&f, &VectorizerConfig::slp(), &stores);
         let um = f.use_map();
-        let report = graph_cost(&f, &g, &CostModel::skylake_like(), &um);
+        let report = graph_cost(&f, &g, &CostModel::skylake_avx2(), &um);
         // store -1, shl -1, const gather 0, splat gather +1 → -1.
         assert_eq!(report.total, -1, "{}", g.dump(&f));
     }
@@ -241,7 +241,7 @@ mod tests {
         }
         let g = graph_for(&f, &VectorizerConfig::slp(), &stores);
         let um = f.use_map();
-        let report = graph_cost(&f, &g, &CostModel::skylake_like(), &um);
+        let report = graph_cost(&f, &g, &CostModel::skylake_avx2(), &um);
         assert_eq!(report.extract_cost, 1, "{}", g.dump(&f));
         assert_eq!(report.total, -3);
     }
@@ -265,7 +265,7 @@ mod tests {
         }
         let g = graph_for(&f, &VectorizerConfig::slp(), &stores);
         let um = f.use_map();
-        let report = graph_cost(&f, &g, &CostModel::skylake_like(), &um);
+        let report = graph_cost(&f, &g, &CostModel::skylake_avx2(), &um);
         // store (1-4) + mul (1-4) + load (1-4): total -9. The mul's two
         // operand slots dedupe onto one load node via the bundle cache.
         assert_eq!(report.total, -9, "{}", g.dump(&f));

@@ -32,7 +32,8 @@
 //!   incrementally ([`lslp_ir::verify_function_touched`]).
 //! * [`RollbackStrategy::Snapshot`] — the historical mechanism: a full
 //!   `Function::clone()` before the transform, restored by move on
-//!   failure. Kept as a debug fallback (`--guard snapshot`).
+//!   failure. Kept as a reference oracle for the delta log, selected on
+//!   [`crate::VectorizerConfig::rollback`] (not a user-facing guard mode).
 //! * [`RollbackStrategy::Differential`] — run *both* mechanisms and
 //!   assert on every rollback that the delta-restored function is
 //!   bit-identical (printed form and epoch) to the snapshot. A divergence
@@ -106,7 +107,7 @@ pub enum RollbackStrategy {
 }
 
 impl RollbackStrategy {
-    /// Parse a CLI spelling (`delta`, `snapshot`, `differential`).
+    /// Parse a strategy spelling (`delta`, `snapshot`, `differential`).
     pub fn parse(s: &str) -> Option<RollbackStrategy> {
         match s {
             "delta" => Some(RollbackStrategy::Delta),

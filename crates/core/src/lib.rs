@@ -80,8 +80,6 @@ pub use api::{
     Artifact, CompileOptions, CompileOptionsBuilder, ErrorClass, LslpError, OptionsError, Session,
 };
 pub use codegen::CodegenStats;
-#[allow(deprecated)]
-pub use config::ReorderKind;
 pub use config::{
     PackingStrategy, ParseStrategyError, ReorderStrategy, Sabotage, ScoreAgg, ScoreWeights,
     VectorizerConfig,
@@ -91,14 +89,8 @@ pub use graph::{GatherReason, GraphBuilder, Node, NodeId, NodeKind, Placement, S
 pub use guard::{GuardError, GuardMode, GuardPolicy, Incident, IncidentKind, RollbackStrategy};
 pub use lslp_analysis::{AnalysisKind, AnalysisManager, CacheStats, PreservedAnalyses};
 pub use packing::{function_cost, GlobalStrategy, GreedyStrategy, PackCx, Strategy};
-pub use pass::{
-    try_vectorize_function, try_vectorize_function_with, vectorize_function, vectorize_module,
-    Attempt, VectorizeReport,
-};
-pub use pipeline::{
-    run_pipeline, run_pipeline_module, try_run_pipeline, try_run_pipeline_with,
-    try_run_vectorize_only, PipelineReport,
-};
+pub use pass::{try_vectorize_function, vectorize_function, Attempt, VectorizeReport};
+pub use pipeline::{run_pipeline, try_run_pipeline, PipelineReport};
 pub use pm::{
     CsePass, DcePass, FoldPass, IfConvertPass, Pass, PassContext, PassManager, PassResult,
     PassTiming, SimplifyPass, UnrollLoopsPass, VectorizePass,

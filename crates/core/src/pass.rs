@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use lslp_analysis::AnalysisManager;
-use lslp_ir::{Function, InstAttr, Module, Opcode, Type, ValueId};
+use lslp_ir::{Function, InstAttr, Opcode, Type, ValueId};
 use lslp_target::CostModel;
 
 use crate::codegen::CodegenStats;
@@ -142,7 +142,7 @@ pub fn try_vectorize_function(
 /// # Errors
 ///
 /// See [`try_vectorize_function`].
-pub fn try_vectorize_function_with(
+pub(crate) fn try_vectorize_function_with(
     f: &mut Function,
     cfg: &VectorizerConfig,
     tm: &CostModel,
@@ -302,16 +302,6 @@ pub(crate) fn sabotage_swap_mask(f: &mut Function) {
             inst.args[0] = shuf;
         }
     }
-}
-
-/// Run the pass over every function of a module; returns per-function
-/// reports in definition order.
-pub fn vectorize_module(
-    m: &mut Module,
-    cfg: &VectorizerConfig,
-    tm: &CostModel,
-) -> Vec<VectorizeReport> {
-    m.functions.iter_mut().map(|f| vectorize_function(f, cfg, tm)).collect()
 }
 
 #[cfg(test)]

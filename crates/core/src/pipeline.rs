@@ -15,7 +15,7 @@
 use std::time::{Duration, Instant};
 
 use lslp_analysis::{AnalysisManager, CacheStats};
-use lslp_ir::{Function, Module};
+use lslp_ir::Function;
 use lslp_target::CostModel;
 
 use crate::config::VectorizerConfig;
@@ -56,14 +56,29 @@ pub struct PipelineReport {
     pub pass_timings: Vec<PassTiming>,
     /// Named per-pass counters (`lslpc --stats`).
     pub stats: Statistics,
-    /// Analysis-cache hit/miss/invalidation counters for the run.
+    /// Cumulative hit/miss/invalidation counters of the analysis manager
+    /// the run used, read when this run ended. A [`crate::Session`] shares
+    /// one manager across its compiles, so these include every earlier
+    /// function of the session; subtract consecutive reports for one run.
     pub analysis_cache: CacheStats,
-    /// Wall-clock time spent computing analyses (cache misses).
+    /// Cumulative time the same manager spent computing analyses (cache
+    /// misses), read when this run ended; cumulative like
+    /// [`PipelineReport::analysis_cache`].
     pub analysis_time: Duration,
 }
 
 /// Number of scalar clean-up rounds before the vectorizer.
 const SCALAR_ROUNDS: usize = 2;
+
+/// Which passes a pipeline run schedules.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Schedule {
+    /// Control-flow lowering, the scalar rounds, the vectorizer and a
+    /// final DCE: the `-O3`-style pipeline.
+    Full,
+    /// The vectorizer alone (the default `lslpc` path).
+    VectorizeOnly,
+}
 
 /// Run the full pipeline over one function.
 pub fn run_pipeline(f: &mut Function, cfg: &VectorizerConfig, tm: &CostModel) -> PipelineReport {
@@ -85,27 +100,28 @@ pub fn try_run_pipeline(
     cfg: &VectorizerConfig,
     tm: &CostModel,
 ) -> Result<PipelineReport, GuardError> {
-    try_run_pipeline_with(f, cfg, tm, &mut AnalysisManager::new())
+    run_with(f, cfg, tm, &mut AnalysisManager::new(), Schedule::Full)
 }
 
-/// [`try_run_pipeline`] over a caller-provided [`AnalysisManager`], so the
-/// cache (and its counters) can outlive one pipeline run.
+/// Run `schedule` over `f` under one pass manager, pulling analyses from
+/// `am` so the cache (and its counters) can outlive one run.
 ///
 /// # Errors
 ///
-/// See [`try_run_pipeline`].
-pub fn try_run_pipeline_with(
+/// In strict mode, returns the first guard incident as a [`GuardError`].
+pub(crate) fn run_with(
     f: &mut Function,
     cfg: &VectorizerConfig,
     tm: &CostModel,
     am: &mut AnalysisManager,
+    schedule: Schedule,
 ) -> Result<PipelineReport, GuardError> {
     let start = Instant::now();
     let mut report = PipelineReport::default();
     let stats = Statistics::new();
     let cx = PassContext { cfg, tm, stats: &stats };
     let mut pm = PassManager::new(cfg.guard_policy());
-    let outcome = run_schedule(f, &cx, &mut pm, am, &mut report, start);
+    let outcome = run_schedule(f, &cx, &mut pm, am, &mut report, start, schedule);
     // Observability is filled in even when a strict-mode abort unwinds the
     // schedule, so callers can still see how far the run got.
     report.incidents = pm.take_incidents();
@@ -121,7 +137,8 @@ pub fn try_run_pipeline_with(
     Ok(report)
 }
 
-/// The pass schedule proper: scalar rounds, vectorizer, final clean-up.
+/// The pass schedule proper: scalar rounds (full schedule only),
+/// vectorizer, final clean-up.
 fn run_schedule(
     f: &mut Function,
     cx: &PassContext,
@@ -129,68 +146,34 @@ fn run_schedule(
     am: &mut AnalysisManager,
     report: &mut PipelineReport,
     start: Instant,
+    schedule: Schedule,
 ) -> Result<(), GuardError> {
-    // Control-flow lowering first: if-conversion turns branch diamonds into
-    // selects (including inside loop bodies), then unrolling peels counted
-    // loops — after these two, any function the frontend could produce is
-    // straight-line again and the scalar pipeline and vectorizer apply.
-    report.if_converted = pm.run_pass(&mut IfConvertPass, f, am, cx)?;
-    report.unrolled = pm.run_pass(&mut UnrollLoopsPass, f, am, cx)?;
-    for _ in 0..SCALAR_ROUNDS {
-        report.simplified += pm.run_pass(&mut SimplifyPass, f, am, cx)?;
-        report.folded += pm.run_pass(&mut FoldPass, f, am, cx)?;
-        report.cse_merged += pm.run_pass(&mut CsePass, f, am, cx)?;
-        report.dce_removed += pm.run_pass(&mut DcePass, f, am, cx)?;
+    if schedule == Schedule::Full {
+        // Control-flow lowering first: if-conversion turns branch diamonds
+        // into selects (including inside loop bodies), then unrolling peels
+        // counted loops — after these two, any function the frontend could
+        // produce is straight-line again and the scalar pipeline and
+        // vectorizer apply.
+        report.if_converted = pm.run_pass(&mut IfConvertPass, f, am, cx)?;
+        report.unrolled = pm.run_pass(&mut UnrollLoopsPass, f, am, cx)?;
+        for _ in 0..SCALAR_ROUNDS {
+            report.simplified += pm.run_pass(&mut SimplifyPass, f, am, cx)?;
+            report.folded += pm.run_pass(&mut FoldPass, f, am, cx)?;
+            report.cse_merged += pm.run_pass(&mut CsePass, f, am, cx)?;
+            report.dce_removed += pm.run_pass(&mut DcePass, f, am, cx)?;
+        }
+        report.scalar_time = start.elapsed();
     }
-    report.scalar_time = start.elapsed();
     let mut vp = VectorizePass::default();
     pm.run_pass(&mut vp, f, am, cx)?;
     report.vectorize = vp.take_report()?;
-    // A final clean-up round: vectorization exposes dead address math (the
-    // vectorizer also runs its own DCE; fold both counts together).
-    report.dce_removed += report.vectorize.dce_removed + pm.run_pass(&mut DcePass, f, am, cx)?;
+    // The vectorizer runs its own DCE; the full schedule adds a final
+    // clean-up round for the dead address math vectorization exposes.
+    report.dce_removed += report.vectorize.dce_removed;
+    if schedule == Schedule::Full {
+        report.dce_removed += pm.run_pass(&mut DcePass, f, am, cx)?;
+    }
     Ok(())
-}
-
-/// Run only the vectorizer (no scalar pipeline) under a pass manager, so
-/// the default `lslpc` path gets the same observability as `--pipeline`.
-///
-/// # Errors
-///
-/// In strict mode, returns the first guard incident as a [`GuardError`].
-pub fn try_run_vectorize_only(
-    f: &mut Function,
-    cfg: &VectorizerConfig,
-    tm: &CostModel,
-) -> Result<PipelineReport, GuardError> {
-    let start = Instant::now();
-    let mut am = AnalysisManager::new();
-    let mut report = PipelineReport::default();
-    let stats = Statistics::new();
-    let cx = PassContext { cfg, tm, stats: &stats };
-    let mut pm = PassManager::new(cfg.guard_policy());
-    let mut vp = VectorizePass::default();
-    let outcome = pm.run_pass(&mut vp, f, &mut am, &cx);
-    let vectorize = vp.take_report();
-    report.incidents = pm.take_incidents();
-    report.pass_timings = pm.take_timings();
-    report.stats = stats;
-    report.analysis_cache = am.cache_stats();
-    report.analysis_time = am.analysis_time();
-    report.total_time = start.elapsed();
-    outcome?;
-    report.vectorize = vectorize?;
-    report.dce_removed = report.vectorize.dce_removed;
-    Ok(report)
-}
-
-/// Run the pipeline over every function of a module.
-pub fn run_pipeline_module(
-    m: &mut Module,
-    cfg: &VectorizerConfig,
-    tm: &CostModel,
-) -> Vec<PipelineReport> {
-    m.functions.iter_mut().map(|f| run_pipeline(f, cfg, tm)).collect()
 }
 
 #[cfg(test)]
@@ -315,9 +298,14 @@ mod tests {
     #[test]
     fn vectorize_only_reports_observability() {
         let mut f = busy_function();
-        let report =
-            try_run_vectorize_only(&mut f, &VectorizerConfig::lslp(), &CostModel::default())
-                .unwrap();
+        let report = run_with(
+            &mut f,
+            &VectorizerConfig::lslp(),
+            &CostModel::default(),
+            &mut AnalysisManager::new(),
+            Schedule::VectorizeOnly,
+        )
+        .unwrap();
         assert_eq!(report.simplified, 0, "no scalar passes in vectorize-only mode");
         assert!(report.vectorize.trees_vectorized > 0 || !report.vectorize.attempts.is_empty());
         assert_eq!(report.pass_timings.len(), 1);

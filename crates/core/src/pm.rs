@@ -317,7 +317,7 @@ impl Pass for DcePass {
 }
 
 /// The (L)SLP vectorizer as a pass. Self-guarded: it transacts per seed
-/// internally (see [`crate::pass::try_vectorize_function_with`]), so the
+/// internally (see `try_vectorize_function_with` in [`crate::pass`]), so the
 /// manager only times it and maintains the analysis cache. The detailed
 /// [`VectorizeReport`] (and a strict-mode abort, if any) is retrieved with
 /// [`VectorizePass::take_report`] after the run.

@@ -156,7 +156,7 @@ mod tests {
             stores.push(b.store(v, ga));
         }
         let mut graph = build(&f, &stores);
-        let tm = CostModel::skylake_like();
+        let tm = CostModel::skylake_avx2();
         let um = f.use_map();
         let report = throttle(&f, &mut graph, &tm, &um);
         assert!(!report.cuts.is_empty(), "mul subtree should be cut");
@@ -193,7 +193,7 @@ mod tests {
             stores.push(b.store(s, ga));
         }
         let mut graph = build(&f, &stores);
-        let tm = CostModel::skylake_like();
+        let tm = CostModel::skylake_avx2();
         let um = f.use_map();
         let report = throttle(&f, &mut graph, &tm, &um);
         assert!(report.cuts.is_empty());
@@ -230,7 +230,7 @@ mod tests {
             stores.push(b.store(v, ga));
         }
         let mut graph = build(&f, &stores);
-        let tm = CostModel::skylake_like();
+        let tm = CostModel::skylake_avx2();
         let um = f.use_map();
         let report = throttle(&f, &mut graph, &tm, &um);
         assert!(report.cost_after <= report.cost_before);
@@ -275,7 +275,7 @@ mod integration {
             }
             f
         };
-        let tm = CostModel::skylake_like();
+        let tm = CostModel::skylake_avx2();
         let mut plain = build();
         let r1 = vectorize_function(&mut plain, &VectorizerConfig::lslp(), &tm);
         let mut thr = build();
@@ -317,7 +317,7 @@ mod integration {
         }
         let scalar = f.clone();
         let cfg = VectorizerConfig::preset("LSLP-Throttle").unwrap();
-        vectorize_function(&mut f, &cfg, &CostModel::skylake_like());
+        vectorize_function(&mut f, &cfg, &CostModel::skylake_avx2());
         lslp_ir::verify_function(&f).unwrap();
         let exec = |g: &Function| {
             let mut mem = Memory::new();

@@ -3,10 +3,10 @@
 //! A long-lived, multi-threaded compile daemon over [`lslp`]'s guarded
 //! pass pipeline: SLC source in, vectorized IR (or a report) out, with a
 //! line-delimited protocol ([`protocol`]), a bounded work queue with
-//! rejection backpressure ([`queue`]), a worker pool where every worker
-//! owns its own analysis state, and a sharded content-addressed result
-//! cache ([`cache`]) so repeated traffic is served without re-running the
-//! pipeline. Metrics (per-pass counters, cache hits, queue depth, latency
+//! rejection backpressure ([`queue`]), a worker pool that compiles each
+//! cache miss through a fresh [`lslp::Session`], and a sharded
+//! content-addressed result cache ([`cache`]) so repeated traffic is
+//! served without re-running the pipeline. Metrics (per-pass counters, cache hits, queue depth, latency
 //! percentiles) accumulate in a [`lslp::SyncStatistics`] registry and are
 //! served by the `STATS` verb ([`metrics`]).
 //!
@@ -30,8 +30,7 @@
 //!   strategy means workers no longer pay a defensive whole-function
 //!   clone per guarded pass and seed attempt — rollback state is the
 //!   reversible mutation log inside the [`Function`](lslp_ir::Function)
-//!   itself (`guard=snapshot` per request brings the old behavior back
-//!   for debugging);
+//!   itself;
 //! * a **watchdog** supervises the worker pool: a worker thread that
 //!   dies outside a drain is respawned (`worker-restarts`), a worker
 //!   busy past the stall threshold gets a supplementary worker spawned
@@ -64,9 +63,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lslp::api::CompileOptions;
-use lslp::{try_run_pipeline_with, try_run_vectorize_only, PipelineReport, SyncStatistics};
-use lslp_analysis::AnalysisManager;
+use lslp::api::{CompileOptions, LslpError, Session};
+use lslp::{PipelineReport, SyncStatistics};
 
 use cache::{content_key, CachedResult, ResultCache};
 use chaos::{Chaos, ChaosConfig};
@@ -545,12 +543,9 @@ fn render_stats_payload(shared: &Shared) -> String {
     metrics::render_stats(&shared.registry, &shared.latency, &extra)
 }
 
-/// One worker: owns its analysis manager for the lifetime of the thread
-/// (the pass manager is instantiated per pipeline run under it) and drains
-/// the queue until close, keeping its heartbeat block current for the
-/// watchdog.
+/// One worker: drains the queue until close, keeping its heartbeat block
+/// current for the watchdog.
 fn worker_loop(shared: &Shared, state: &WorkerState) {
-    let mut am = AnalysisManager::new();
     while let Some(job) = shared.queue.pop() {
         state.epoch.fetch_add(1, Ordering::Relaxed);
         state
@@ -562,7 +557,7 @@ fn worker_loop(shared: &Shared, state: &WorkerState) {
             // internal error), and the watchdog respawns this worker.
             chaos.maybe_panic_worker();
         }
-        let response = compile_request(&job.req, shared, &mut am);
+        let response = compile_request(&job.req, shared);
         state.busy_since_ms.store(0, Ordering::Relaxed);
         state.epoch.fetch_add(1, Ordering::Relaxed);
         // A vanished connection is not a worker error: the loop discards
@@ -572,17 +567,10 @@ fn worker_loop(shared: &Shared, state: &WorkerState) {
     state.clean_exit.store(true, Ordering::Relaxed);
 }
 
-/// Cache identity of a request: every field that changes the output
-/// participates (`tag` does not — it is routing, not content). `target`
-/// participates so the same source compiled for two targets yields two
-/// distinct cache entries.
-fn request_cache_key(req: &CompileRequest, shared: &Shared) -> (u64, String) {
-    let budget_ms = req.timeout_ms.unwrap_or(shared.cfg.default_time_budget_ms).to_string();
-    let parts = request_key_parts(req, &budget_ms);
-    (content_key(&parts), parts.join("\0"))
-}
-
-/// The ordered key-material segments of [`request_cache_key`].
+/// The ordered key-material segments of a request's cache identity: every
+/// field that changes the output participates (`tag` does not — it is
+/// routing, not content). `target` participates so the same source
+/// compiled for two targets yields two distinct cache entries.
 fn request_key_parts<'a>(req: &'a CompileRequest, budget_ms: &'a str) -> [&'a str; 8] {
     [
         req.src.as_str(),
@@ -609,33 +597,34 @@ pub(crate) fn cached_fast_path(shared: &Shared, req: &CompileRequest) -> Option<
     if shared.chaos.is_some() || shared.is_shutting_down() {
         return None;
     }
-    let start = Instant::now();
+    probe_cache(shared, req, Instant::now()).ok()
+}
+
+/// Probe the result cache for `req`. A hit is counted and answered with
+/// its `OK cached=hit` line, timed from `start`; a miss returns the key.
+fn probe_cache(shared: &Shared, req: &CompileRequest, start: Instant) -> Result<String, u64> {
     let budget_ms = req.timeout_ms.unwrap_or(shared.cfg.default_time_budget_ms).to_string();
     let parts = request_key_parts(req, &budget_ms);
     let key = content_key(&parts);
-    let hit = shared.cache.get_parts(key, &parts)?;
+    let hit = shared.cache.get_parts(key, &parts).ok_or(key)?;
     shared.registry.add("server", "cache-hits", 1);
     shared.registry.add("server", "requests-ok", 1);
     let us = start.elapsed().as_micros() as u64;
     shared.latency.record(us);
-    Some(ok_response(key, "hit", &hit, us))
+    Ok(ok_response(key, "hit", &hit, us))
 }
 
-/// Serve one compile request: cache lookup, pipeline run on miss, tiered
-/// cache fill, metrics.
-fn compile_request(req: &CompileRequest, shared: &Shared, am: &mut AnalysisManager) -> String {
+/// Serve one compile request: cache lookup, [`Session`] compile on miss,
+/// tiered cache fill, metrics.
+fn compile_request(req: &CompileRequest, shared: &Shared) -> String {
     let start = Instant::now();
-    let budget_ms = req.timeout_ms.unwrap_or(shared.cfg.default_time_budget_ms);
-    let (key, material) = request_cache_key(req, shared);
-
-    if let Some(hit) = shared.cache.get(key, &material) {
-        shared.registry.add("server", "cache-hits", 1);
-        shared.registry.add("server", "requests-ok", 1);
-        let us = start.elapsed().as_micros() as u64;
-        shared.latency.record(us);
-        return ok_response(key, "hit", &hit, us);
-    }
+    let key = match probe_cache(shared, req, start) {
+        Ok(hit) => return hit,
+        Err(key) => key,
+    };
     shared.registry.add("server", "cache-misses", 1);
+    let budget_ms = req.timeout_ms.unwrap_or(shared.cfg.default_time_budget_ms);
+    let material = request_key_parts(req, &budget_ms.to_string()).join("\0");
 
     // The per-request timeout rides on the guard's compile-fuel budget: the
     // vectorizer stops attempting seeds at the deadline and the function
@@ -661,37 +650,23 @@ fn compile_request(req: &CompileRequest, shared: &Shared, am: &mut AnalysisManag
             return Response::err_line(ErrorKind::Config, &e.to_string());
         }
     };
-    let cfg = opts.config();
-    let tm = opts.target();
-
-    let mut module = match lslp_frontend::compile(&req.src) {
-        Ok(m) => m,
+    let artifact = match Session::new(opts).compile(&req.src) {
+        Ok(a) => a,
         Err(e) => {
-            shared.registry.add("server", "errors-parse", 1);
-            return Response::err_line(ErrorKind::Parse, &e.to_string());
+            let (kind, counter) = match e {
+                LslpError::Input(_) => (ErrorKind::Parse, "errors-parse"),
+                _ => (ErrorKind::Internal, "errors-internal"),
+            };
+            shared.registry.add("server", counter, 1);
+            return Response::err_line(kind, &e.to_string());
         }
     };
-
-    let mut reports: Vec<PipelineReport> = Vec::with_capacity(module.functions.len());
-    for f in &mut module.functions {
-        let run = if opts.pipeline() {
-            try_run_pipeline_with(f, cfg, tm, am)
-        } else {
-            try_run_vectorize_only(f, cfg, tm)
-        };
-        match run {
-            Ok(r) => reports.push(r),
-            Err(e) => {
-                shared.registry.add("server", "errors-internal", 1);
-                return Response::err_line(ErrorKind::Internal, &format!("@{}: {e}", f.name()));
-            }
-        }
-    }
+    let (module, reports) = (&artifact.module, &artifact.reports);
 
     let mut trees = 0usize;
     let mut cost = 0i64;
     let mut incidents = 0usize;
-    for r in &reports {
+    for r in reports {
         trees += r.vectorize.trees_vectorized;
         cost += r.vectorize.applied_cost;
         incidents += r.incidents.len() + r.vectorize.incidents.len();
@@ -702,8 +677,8 @@ fn compile_request(req: &CompileRequest, shared: &Shared, am: &mut AnalysisManag
     }
 
     let output = match req.emit {
-        Emit::Ir => lslp_ir::print_module(&module),
-        Emit::Report => render_report(&module, &reports),
+        Emit::Ir => lslp_ir::print_module(module),
+        Emit::Report => render_report(module, reports),
     };
     let result = CachedResult { output, trees, cost, incidents };
     tiered_insert(shared, key, &material, &result, true);
@@ -780,8 +755,7 @@ mod tests {
     }
 
     fn run(req: &CompileRequest, shared: &Shared) -> Response {
-        let mut am = AnalysisManager::new();
-        Response::parse(&compile_request(req, shared, &mut am)).unwrap()
+        Response::parse(&compile_request(req, shared)).unwrap()
     }
 
     #[test]
@@ -915,16 +889,22 @@ mod tests {
     }
 
     #[test]
-    fn guard_strategy_spellings_are_accepted() {
-        // The rollback-strategy spellings reach the options builder and
-        // compile identically to the delta default on clean input.
+    fn guard_strategy_spellings_are_config_errors() {
+        // The rollback strategies are reference oracles on
+        // `VectorizerConfig::rollback`, not guard modes: the options
+        // builder rejects them like any unknown mode.
         let s = shared();
-        for mode in ["snapshot", "differential", "rollback"] {
+        for mode in ["snapshot", "differential"] {
             let r =
                 run(&CompileRequest { guard: Some(mode.into()), ..CompileRequest::new(SRC) }, &s);
-            assert!(r.ok, "guard={mode}: {r:?}");
-            assert!(r.payload.contains("<4 x f64>"), "guard={mode} vectorizes");
+            assert_eq!(r.error, Some(ErrorKind::Config), "guard={mode}: {r:?}");
+            assert!(r.payload.contains(&format!("unknown guard mode `{mode}`")), "{}", r.payload);
         }
+        assert_eq!(s.registry.get("server", "errors-config"), 2);
+        let r =
+            run(&CompileRequest { guard: Some("rollback".into()), ..CompileRequest::new(SRC) }, &s);
+        assert!(r.ok, "guard=rollback: {r:?}");
+        assert!(r.payload.contains("<4 x f64>"), "guard=rollback vectorizes");
     }
 
     #[test]
@@ -1023,18 +1003,13 @@ mod tests {
             for t in 0..4u64 {
                 let s = &s;
                 scope.spawn(move || {
-                    let mut am = AnalysisManager::new();
                     for i in 0..4u64 {
                         let n = t * 4 + i;
                         let src = format!(
                             "kernel k{n}(f64* A, f64* B, i64 i) {{\n  A[i+0] = B[i+0] + {n}.0;\n  A[i+1] = B[i+1] + {n}.0;\n}}"
                         );
-                        let r = Response::parse(&compile_request(
-                            &CompileRequest::new(&src),
-                            s,
-                            &mut am,
-                        ))
-                        .unwrap();
+                        let r = Response::parse(&compile_request(&CompileRequest::new(&src), s))
+                            .unwrap();
                         assert!(r.ok, "{r:?}");
                     }
                 });

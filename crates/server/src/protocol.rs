@@ -17,7 +17,7 @@
 //!           | "target=" SPEC      (target machine, default skylake-avx2)
 //!           | "pipeline=" 0|1     (full scalar+vector pipeline, default 1)
 //!           | "emit=" ir|report   (default ir)
-//!           | "guard=" off|rollback|strict|snapshot|differential
+//!           | "guard=" off|rollback|strict
 //!           | "packing=" greedy|global  (v5: statement-packing strategy)
 //!           | "timeout-ms=" N    (compile budget, default server-wide)
 //!           | "tag=" TOKEN       (v4: pipelining tag, echoed in the response)
@@ -198,9 +198,9 @@ pub struct CompileRequest {
     pub pipeline: bool,
     /// Payload selection.
     pub emit: Emit,
-    /// Guard-mode override (`None` keeps the preset default: rollback with
-    /// delta-log undo). Also accepts the rollback-strategy spellings
-    /// `snapshot` and `differential`.
+    /// Guard-mode override (`off` | `rollback` | `strict`; `None` keeps
+    /// the preset default, rollback). Other spellings are answered with
+    /// `ERR kind=config`.
     pub guard: Option<String>,
     /// Statement-packing strategy (v5): `greedy` | `global`; `None` keeps
     /// the preset default (greedy). Changes the artifact, so it

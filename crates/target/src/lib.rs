@@ -340,23 +340,6 @@ impl fmt::Display for TargetSpec {
 /// directly; see the migration note in DESIGN.md §11.
 pub type CostModel = TargetSpec;
 
-impl TargetSpec {
-    /// Deprecated constructor name for [`TargetSpec::skylake_avx2`].
-    pub fn skylake_like() -> TargetSpec {
-        TargetSpec::skylake_avx2()
-    }
-
-    /// Deprecated constructor name for [`TargetSpec::sse42`].
-    pub fn sse_like() -> TargetSpec {
-        TargetSpec::sse42()
-    }
-
-    /// Deprecated constructor name for [`TargetSpec::avx512`].
-    pub fn avx512_like() -> TargetSpec {
-        TargetSpec::avx512()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,10 +390,6 @@ mod tests {
     #[test]
     fn default_is_skylake() {
         assert_eq!(TargetSpec::default(), TargetSpec::skylake_avx2());
-        // The deprecated constructor names stay equivalent.
-        assert_eq!(TargetSpec::skylake_like(), TargetSpec::skylake_avx2());
-        assert_eq!(TargetSpec::sse_like(), TargetSpec::sse42());
-        assert_eq!(TargetSpec::avx512_like(), TargetSpec::avx512());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use lslp_target::CostModel;
 
 fn main() {
     let filter = std::env::args().nth(1);
-    let tm = CostModel::skylake_like();
+    let tm = CostModel::skylake_avx2();
     for k in lslp_kernels::motivation_kernels() {
         if filter.as_deref().is_some_and(|f| f != k.name) {
             continue;

@@ -17,7 +17,7 @@ fn main() {
                }";
     let module = lslp_frontend::compile(src).expect("SLC compiles");
     let scalar = module.functions.into_iter().next().unwrap();
-    let tm = CostModel::skylake_like();
+    let tm = CostModel::skylake_avx2();
 
     println!("=== scalar IR ===\n{}", lslp_ir::print_function(&scalar));
 

@@ -36,7 +36,7 @@ fn demo(kernel: &lslp_kernels::Kernel) {
         kernel.name, kernel.benchmark, kernel.file_line, kernel.src
     );
 
-    let tm = CostModel::skylake_like();
+    let tm = CostModel::skylake_avx2();
     let iters = kernel.default_iters;
 
     // Scalar baseline.

@@ -8,8 +8,7 @@
 use std::io::Read as _;
 use std::process::ExitCode;
 
-use lslp::{vectorize_module, VectorizerConfig};
-use lslp_target::CostModel;
+use lslp::{CompileOptions, Session};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -20,9 +19,12 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let cfg_name = args.get(1).map(String::as_str).unwrap_or("LSLP");
-    let Some(cfg) = VectorizerConfig::preset(cfg_name) else {
-        eprintln!("unknown configuration `{cfg_name}`");
-        return ExitCode::from(2);
+    let opts = match CompileOptions::preset(cfg_name).vectorize_only().build() {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
     };
 
     let src = if path == "-" {
@@ -42,15 +44,15 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut module = match lslp_frontend::compile(&src) {
-        Ok(m) => m,
+    let artifact = match Session::new(opts).compile(&src) {
+        Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(e.exit_code() as u8);
         }
     };
-    let reports = vectorize_module(&mut module, &cfg, &CostModel::skylake_like());
-    for (f, report) in module.functions.iter().zip(&reports) {
+    for (f, pr) in artifact.module.functions.iter().zip(&artifact.reports) {
+        let report = &pr.vectorize;
         eprintln!(
             "; @{}: {} seed group(s) tried, {} vectorized, applied cost {}, pass time {:?}",
             f.name(),
@@ -60,6 +62,6 @@ fn main() -> ExitCode {
             report.elapsed
         );
     }
-    print!("{}", lslp_ir::print_module(&module));
+    print!("{}", artifact.ir());
     ExitCode::SUCCESS
 }

@@ -70,7 +70,7 @@ fn assert_equivalent(p: &lslp_kernels::GeneratedProgram, scalar: &Memory, vec: &
 fn check_all_configs(gen_cfg: GenConfig) {
     let p = generate(&gen_cfg);
     let scalar_mem = run_and_capture(&p.function, &p, gen_cfg.seed);
-    let tm = CostModel::skylake_like();
+    let tm = CostModel::skylake_avx2();
     for name in ["SLP-NR", "SLP", "LSLP", "LSLP-LA0", "LSLP-LA2", "LSLP-Multi2", "LSLP-Throttle"] {
         let cfg = VectorizerConfig::preset(name).unwrap();
         let mut f = p.function.clone();
@@ -129,7 +129,7 @@ proptest! {
         };
         let p = generate(&gen_cfg);
         let scalar_mem = run_and_capture(&p.function, &p, seed);
-        let tm = CostModel::skylake_like();
+        let tm = CostModel::skylake_avx2();
         let cfg = VectorizerConfig { fast_math: false, ..VectorizerConfig::lslp() };
         let mut f = p.function.clone();
         vectorize_function(&mut f, &cfg, &tm);
@@ -150,7 +150,7 @@ proptest! {
             seed, groups: 2, lanes, depth: 3, int: true, swap_prob: swap, arrays: 3,
         };
         let p = generate(&gen_cfg);
-        let tm = CostModel::skylake_like();
+        let tm = CostModel::skylake_avx2();
         let base = lslp_interp::perf::body_cycles(&p.function, &tm);
         let mut f = p.function.clone();
         vectorize_function(&mut f, &VectorizerConfig::lslp(), &tm);
@@ -207,7 +207,7 @@ mod reductions {
                 enable_reductions: true,
                 ..VectorizerConfig::lslp()
             };
-            lslp::vectorize_function(&mut vectorized, &cfg, &CostModel::skylake_like());
+            lslp::vectorize_function(&mut vectorized, &cfg, &CostModel::skylake_avx2());
             lslp_ir::verify_function(&vectorized).unwrap();
 
             let exec = |f: &Function| {
@@ -248,7 +248,7 @@ mod pipeline_equivalence {
             };
             let p = generate(&gen_cfg);
             let scalar_mem = run_and_capture(&p.function, &p, seed);
-            let tm = CostModel::skylake_like();
+            let tm = CostModel::skylake_avx2();
             for name in ["O3", "LSLP"] {
                 let cfg = VectorizerConfig::preset(name).unwrap();
                 let mut f = p.function.clone();
@@ -286,7 +286,7 @@ mod pipeline_equivalence {
         let p = generate(&gen_cfg);
         assert!(p.function.body_len() > 1000, "len {}", p.function.body_len());
         let scalar_mem = run_and_capture(&p.function, &p, 77);
-        let tm = CostModel::skylake_like();
+        let tm = CostModel::skylake_avx2();
         let mut f = p.function.clone();
         let report = lslp::run_pipeline(&mut f, &VectorizerConfig::lslp(), &tm);
         assert!(report.vectorize.trees_vectorized > 0, "stress program must vectorize");

@@ -20,7 +20,7 @@ fn vectorized(kernel: &str) -> String {
         .find(|k| k.name == kernel)
         .expect("kernel exists");
     let mut f = k.compile();
-    vectorize_function(&mut f, &VectorizerConfig::lslp(), &CostModel::skylake_like());
+    vectorize_function(&mut f, &VectorizerConfig::lslp(), &CostModel::skylake_avx2());
     lslp_ir::print_function(&f)
 }
 
@@ -116,12 +116,12 @@ fn vectorization_is_deterministic() {
     for k in lslp_kernels::suite() {
         let once = {
             let mut f = k.compile();
-            vectorize_function(&mut f, &VectorizerConfig::lslp(), &CostModel::skylake_like());
+            vectorize_function(&mut f, &VectorizerConfig::lslp(), &CostModel::skylake_avx2());
             lslp_ir::print_function(&f)
         };
         let twice = {
             let mut f = k.compile();
-            vectorize_function(&mut f, &VectorizerConfig::lslp(), &CostModel::skylake_like());
+            vectorize_function(&mut f, &VectorizerConfig::lslp(), &CostModel::skylake_avx2());
             lslp_ir::print_function(&f)
         };
         assert_eq!(once, twice, "{} must vectorize deterministically", k.name);

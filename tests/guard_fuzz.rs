@@ -64,7 +64,7 @@ fn check_one(
     let scalar = capture(&p, &p.function, gen_cfg.seed);
     let cfg = VectorizerConfig { guard, paranoid, ..VectorizerConfig::preset(preset).unwrap() };
     let mut f = p.function.clone();
-    let report = try_vectorize_function(&mut f, &cfg, &CostModel::skylake_like())
+    let report = try_vectorize_function(&mut f, &cfg, &CostModel::skylake_avx2())
         .map_err(|e| format!("strict abort on clean input: {e}"))?;
     if !report.incidents.is_empty() {
         return Err(format!("spurious incident on clean input: {}", report.incidents[0]));

@@ -257,7 +257,7 @@ fn void_store_kernel() -> Function {
 
 #[test]
 fn void_valued_stores_never_panic_the_vectorizer() {
-    let tm = CostModel::skylake_like();
+    let tm = CostModel::skylake_avx2();
     for mode in [GuardMode::Rollback, GuardMode::Strict] {
         let mut f = void_store_kernel();
         let before = lslp_ir::print_function(&f);

@@ -14,7 +14,7 @@ struct Outcome {
 }
 
 fn run_config(k: &Kernel, cfg: &VectorizerConfig, iters: usize) -> Outcome {
-    let tm = CostModel::skylake_like();
+    let tm = CostModel::skylake_avx2();
     let mut f = k.compile();
     let report = vectorize_function(&mut f, cfg, &tm);
     lslp_ir::verify_function(&f).unwrap_or_else(|e| panic!("{}: {e}", k.name));

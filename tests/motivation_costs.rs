@@ -23,7 +23,7 @@ use lslp_target::CostModel;
 fn run(kernel: &str, cfg: &VectorizerConfig) -> (i64, i64, usize) {
     let k = motivation_kernels().into_iter().find(|k| k.name == kernel).expect("kernel exists");
     let mut f = k.compile();
-    let report = vectorize_function(&mut f, cfg, &CostModel::skylake_like());
+    let report = vectorize_function(&mut f, cfg, &CostModel::skylake_avx2());
     lslp_ir::verify_function(&f).expect("output verifies");
     let first = report.attempts.first().map(|a| a.cost).unwrap_or(0);
     (first, report.applied_cost, report.trees_vectorized)

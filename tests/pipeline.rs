@@ -4,13 +4,20 @@
 use std::rc::Rc;
 
 use lslp::{
-    try_vectorize_function_with, vectorize_function, vectorize_module, AnalysisKind,
-    AnalysisManager, GuardMode, GuardPolicy, Pass, PassContext, PassManager, PassResult,
-    PreservedAnalyses, ReorderStrategy, Statistics, VectorizerConfig,
+    vectorize_function, AnalysisKind, AnalysisManager, Artifact, CompileOptions, GuardMode,
+    GuardPolicy, Pass, PassContext, PassManager, PassResult, PreservedAnalyses, ReorderStrategy,
+    Session, Statistics, VectorizePass, VectorizerConfig,
 };
 use lslp_interp::{run_function, Memory, Value};
 
 use lslp_target::CostModel;
+
+/// Run the vectorizer alone over every kernel of `src` under `preset`,
+/// through the embedding API.
+fn vectorize(src: &str, preset: &str) -> Artifact {
+    let opts = CompileOptions::preset(preset).vectorize_only().build().unwrap();
+    Session::new(opts).compile(src).unwrap()
+}
 
 #[test]
 fn slc_to_simd_end_to_end() {
@@ -21,16 +28,16 @@ fn slc_to_simd_end_to_end() {
                    Y[i+2] = Y[i+2] + a * X[i+2];
                    Y[i+3] = Y[i+3] + a * X[i+3];
                }";
-    let mut m = lslp_frontend::compile(src).unwrap();
-    let reports = vectorize_module(&mut m, &VectorizerConfig::lslp(), &CostModel::default());
-    assert_eq!(reports[0].trees_vectorized, 1);
-    let text = lslp_ir::print_function(&m.functions[0]);
+    let a = vectorize(src, "LSLP");
+    assert_eq!(a.reports[0].vectorize.trees_vectorized, 1);
+    let text = lslp_ir::print_function(&a.module.functions[0]);
     assert!(text.contains("<4 x f64>"), "{text}");
 
     let mut mem = Memory::new();
     let y = mem.alloc_f64("Y", &[1.0, 2.0, 3.0, 4.0]);
     let x = mem.alloc_f64("X", &[10.0, 20.0, 30.0, 40.0]);
-    run_function(&m.functions[0], &[y, x, Value::Float(0.5), Value::Int(0)], &mut mem).unwrap();
+    run_function(&a.module.functions[0], &[y, x, Value::Float(0.5), Value::Int(0)], &mut mem)
+        .unwrap();
     assert_eq!(mem.read_f64("Y", 0), Some(6.0));
     assert_eq!(mem.read_f64("Y", 3), Some(24.0));
 }
@@ -43,14 +50,12 @@ fn listing1_compiles_and_vectorizes_under_plain_slp() {
                    E[i+0] = (x - 1) + A[i+0];
                    E[i+1] = A[i+1] + (y - 1);
                }";
-    let mut m = lslp_frontend::compile(src).unwrap();
-    let reports = vectorize_module(&mut m, &VectorizerConfig::slp(), &CostModel::default());
-    assert_eq!(reports[0].trees_vectorized, 1, "SLP reorders Listing 1 fine");
+    let slp = vectorize(src, "SLP");
+    assert_eq!(slp.reports[0].vectorize.trees_vectorized, 1, "SLP reorders Listing 1 fine");
 
     // But with reordering disabled (SLP-NR) the same kernel fails.
-    let mut m = lslp_frontend::compile(src).unwrap();
-    let reports = vectorize_module(&mut m, &VectorizerConfig::slp_nr(), &CostModel::default());
-    assert_eq!(reports[0].trees_vectorized, 0, "SLP-NR cannot fix the order");
+    let nr = vectorize(src, "SLP-NR");
+    assert_eq!(nr.reports[0].vectorize.trees_vectorized, 0, "SLP-NR cannot fix the order");
 }
 
 #[test]
@@ -61,18 +66,13 @@ fn listing2_defeats_slp_but_not_lslp() {
                    E[i+0] = A[i+0]*B[i+0] + C[i+0]*D[i+0];
                    E[i+1] = C[i+1]*D[i+1] + A[i+1]*B[i+1];
                }";
-    let mut m = lslp_frontend::compile(src).unwrap();
-    let slp = vectorize_module(&mut m, &VectorizerConfig::slp(), &CostModel::default());
-    let mut m2 = lslp_frontend::compile(src).unwrap();
-    let lslp = vectorize_module(&mut m2, &VectorizerConfig::lslp(), &CostModel::default());
-    assert!(
-        lslp[0].applied_cost < slp[0].applied_cost,
-        "LSLP {} must beat SLP {}",
-        lslp[0].applied_cost,
-        slp[0].applied_cost
-    );
+    let slp = vectorize(src, "SLP");
+    let lslp = vectorize(src, "LSLP");
+    let (slp_cost, lslp_cost) =
+        (slp.reports[0].vectorize.applied_cost, lslp.reports[0].vectorize.applied_cost);
+    assert!(lslp_cost < slp_cost, "LSLP {lslp_cost} must beat SLP {slp_cost}");
     // LSLP vectorizes the whole tree including all eight loads.
-    let text = lslp_ir::print_function(&m2.functions[0]);
+    let text = lslp_ir::print_function(&lslp.module.functions[0]);
     assert_eq!(text.matches("load <2 x i64>").count(), 4, "{text}");
 }
 
@@ -118,12 +118,11 @@ fn whole_module_vectorization_handles_mixed_functions() {
                kernel scalar_only(i64* A, i64 i) {
                    A[i*i] = 7;
                }";
-    let mut m = lslp_frontend::compile(src).unwrap();
-    let reports = vectorize_module(&mut m, &VectorizerConfig::lslp(), &CostModel::default());
-    assert_eq!(reports.len(), 2);
-    assert_eq!(reports[0].trees_vectorized, 1);
-    assert_eq!(reports[1].trees_vectorized, 0);
-    lslp_ir::verify_module(&m).unwrap();
+    let a = vectorize(src, "LSLP");
+    assert_eq!(a.reports.len(), 2);
+    assert_eq!(a.reports[0].vectorize.trees_vectorized, 1);
+    assert_eq!(a.reports[1].vectorize.trees_vectorized, 0);
+    lslp_ir::verify_module(&a.module).unwrap();
 }
 
 #[test]
@@ -132,17 +131,18 @@ fn fast_math_gates_fp_multinodes() {
                    R[i+0] = X[3*i+0] + X[3*i+1] + X[3*i+2];
                    R[i+1] = X[3*i+4] + X[3*i+3] + X[3*i+5];
                }";
+    // `fast_math` is no compile option: drive the function-level entry
+    // point with a hand-built configuration.
     let tm = CostModel::default();
-    let mut strict_m = lslp_frontend::compile(src).unwrap();
+    let f = lslp_frontend::compile(src).unwrap().functions.remove(0);
     let strict_cfg = VectorizerConfig { fast_math: false, ..VectorizerConfig::lslp() };
-    let strict = vectorize_module(&mut strict_m, &strict_cfg, &tm);
-    let mut fast_m = lslp_frontend::compile(src).unwrap();
-    let fast = vectorize_module(&mut fast_m, &VectorizerConfig::lslp(), &tm);
+    let strict = vectorize_function(&mut f.clone(), &strict_cfg, &tm);
+    let fast = vectorize_function(&mut f.clone(), &VectorizerConfig::lslp(), &tm);
     assert!(
-        fast[0].applied_cost <= strict[0].applied_cost,
+        fast.applied_cost <= strict.applied_cost,
         "fast-math multi-nodes must not lose: fast {} strict {}",
-        fast[0].applied_cost,
-        strict[0].applied_cost
+        fast.applied_cost,
+        strict.applied_cost
     );
 }
 
@@ -156,11 +156,10 @@ fn casts_compile_interpret_and_vectorize() {
                    OUT[i+2] = ((IN[i+2] as f64) * g) as i32;
                    OUT[i+3] = ((IN[i+3] as f64) * g) as i32;
                }";
-    let mut m = lslp_frontend::compile(src).unwrap();
-    let reports = vectorize_module(&mut m, &VectorizerConfig::lslp(), &CostModel::default());
-    assert_eq!(reports[0].trees_vectorized, 1, "cast lanes must vectorize");
-    lslp_ir::verify_module(&m).unwrap();
-    let text = lslp_ir::print_function(&m.functions[0]);
+    let a = vectorize(src, "LSLP");
+    assert_eq!(a.reports[0].vectorize.trees_vectorized, 1, "cast lanes must vectorize");
+    lslp_ir::verify_module(&a.module).unwrap();
+    let text = lslp_ir::print_function(&a.module.functions[0]);
     assert!(text.contains("sitofp <4 x i32>"), "{text}");
     assert!(text.contains("fptosi <4 x f64>"), "{text}");
 
@@ -177,7 +176,7 @@ fn casts_compile_interpret_and_vectorize() {
     }
     let args =
         vec![mem.ptr("OUT").unwrap(), mem.ptr("IN").unwrap(), Value::Float(2.5), Value::Int(0)];
-    run_function(&m.functions[0], &args, &mut mem).unwrap();
+    run_function(&a.module.functions[0], &args, &mut mem).unwrap();
     let out = mem.ptr("OUT").unwrap();
     let read = |k: usize, mem: &Memory| {
         mem.read_scalar(&out, (k * 4) as i64, lslp_ir::ScalarType::I32).unwrap().as_int()
@@ -225,14 +224,13 @@ fn committed_vectorization_invalidates_cached_analyses() {
     let stale_positions = am.positions(&f);
     let epoch_before = f.epoch();
 
-    let report = try_vectorize_function_with(
-        &mut f,
-        &VectorizerConfig::lslp(),
-        &CostModel::default(),
-        &mut am,
-    )
-    .unwrap();
-    assert_eq!(report.trees_vectorized, 1);
+    // The vectorizer pass pulls its analyses from the caller's manager.
+    let (cfg, tm, stats) = (VectorizerConfig::lslp(), CostModel::default(), Statistics::new());
+    let cx = PassContext { cfg: &cfg, tm: &tm, stats: &stats };
+    let mut vp = VectorizePass::default();
+    let mut pm = PassManager::new(cfg.guard_policy());
+    pm.run_pass(&mut vp, &mut f, &mut am, &cx).unwrap();
+    assert_eq!(vp.take_report().unwrap().trees_vectorized, 1);
     assert_ne!(f.epoch(), epoch_before, "committed vectorization moves the epoch");
 
     // The cache must not serve the scalar-body position map for the
@@ -298,9 +296,8 @@ fn narrow_types_widen_the_vector_factor() {
         src.push_str(&format!("    A[i+{o}] = B[i+{o}] * B[i+{o}];\n"));
     }
     src.push('}');
-    let mut m = lslp_frontend::compile(&src).unwrap();
-    let reports = vectorize_module(&mut m, &VectorizerConfig::lslp(), &CostModel::default());
-    assert_eq!(reports[0].trees_vectorized, 1);
-    let text = lslp_ir::print_function(&m.functions[0]);
+    let a = vectorize(&src, "LSLP");
+    assert_eq!(a.reports[0].vectorize.trees_vectorized, 1);
+    let text = lslp_ir::print_function(&a.module.functions[0]);
     assert!(text.contains("<8 x f32>"), "{text}");
 }

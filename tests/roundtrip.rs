@@ -43,7 +43,7 @@ proptest! {
             seed, int, swap_prob: swap, depth: 3, ..GenConfig::default()
         });
         let mut f = p.function;
-        vectorize_function(&mut f, &VectorizerConfig::lslp(), &CostModel::skylake_like());
+        vectorize_function(&mut f, &VectorizerConfig::lslp(), &CostModel::skylake_avx2());
         roundtrip(&f);
     }
 
@@ -60,7 +60,7 @@ proptest! {
             vectorize_function(
                 &mut f,
                 &VectorizerConfig::preset(name).unwrap(),
-                &CostModel::skylake_like(),
+                &CostModel::skylake_avx2(),
             );
             verify_function(&f).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
@@ -73,7 +73,7 @@ fn suite_kernels_roundtrip_before_and_after_vectorization() {
         let f = k.compile();
         roundtrip(&f);
         let mut v = f.clone();
-        vectorize_function(&mut v, &VectorizerConfig::lslp(), &CostModel::skylake_like());
+        vectorize_function(&mut v, &VectorizerConfig::lslp(), &CostModel::skylake_avx2());
         roundtrip(&v);
     }
 }
