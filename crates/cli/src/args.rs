@@ -59,18 +59,6 @@ pub struct Args {
     /// Print pass statistics and analysis-cache counters after the main
     /// output (LLVM `-stats` style).
     pub stats: bool,
-    /// Run as the `lslpd` compile daemon instead of compiling one input
-    /// (see `docs/SERVER.md`).
-    pub serve: bool,
-    /// Bind address for `--serve`.
-    pub addr: String,
-    /// Worker-thread count for `--serve` (`None` = CPU count).
-    pub workers: Option<usize>,
-    /// Persistent cache directory for `--serve` (`None` = memory-only).
-    pub cache_dir: Option<String>,
-    /// Fault-injection spec for `--serve`, validated at parse time
-    /// (`None` = no injected faults).
-    pub chaos: Option<String>,
     /// Run a fuzzing campaign of this many iterations instead of
     /// compiling one input (see `docs/FUZZING.md`).
     pub fuzz: Option<u64>,
@@ -99,11 +87,6 @@ impl Default for Args {
             paranoid: false,
             print_pass_times: false,
             stats: false,
-            serve: false,
-            addr: "127.0.0.1:7979".into(),
-            workers: None,
-            cache_dir: None,
-            chaos: None,
             fuzz: None,
             fuzz_seed: 1,
             fuzz_dir: "fuzz/corpus/regressions".into(),
@@ -165,14 +148,6 @@ OPTIONS:
     --stats            print pass statistics and analysis-cache hit/miss
                        counters after the main output
     -o <FILE>          write output to FILE instead of stdout
-    --serve            run as the lslpd compile daemon (no input file; see
-                       docs/SERVER.md for the protocol)
-    --addr <H:P>       bind address for --serve (default: 127.0.0.1:7979)
-    --workers <N>      worker threads for --serve (default: CPU count)
-    --cache-dir <DIR>  with --serve: persist the result cache under DIR so a
-                       restarted daemon starts warm (see docs/SERVER.md)
-    --chaos <SPEC>     with --serve: seeded fault injection, e.g.
-                       seed=7,panic=0.1,read-drop=0.05 (see docs/SERVER.md)
     --fuzz <N>         run an N-iteration fuzzing campaign (no input file;
                        differential/metamorphic oracles on every target —
                        or just --target if given; see docs/FUZZING.md).
@@ -230,22 +205,6 @@ pub fn parse(argv: &[String]) -> Result<Args, ArgError> {
             "--paranoid" => args.paranoid = true,
             "--print-pass-times" => args.print_pass_times = true,
             "--stats" => args.stats = true,
-            "--serve" => args.serve = true,
-            "--addr" => args.addr = value_of("--addr")?,
-            "--cache-dir" => args.cache_dir = Some(value_of("--cache-dir")?),
-            "--chaos" => {
-                let spec = value_of("--chaos")?;
-                lslp_server::chaos::ChaosConfig::parse(&spec)
-                    .map_err(|e| ArgError(format!("bad --chaos: {e}")))?;
-                args.chaos = Some(spec);
-            }
-            "--workers" => {
-                args.workers = Some(
-                    value_of("--workers")?
-                        .parse()
-                        .map_err(|e| ArgError(format!("bad --workers value: {e}")))?,
-                )
-            }
             "--fuzz" => {
                 args.fuzz = Some(
                     value_of("--fuzz")?
@@ -270,12 +229,11 @@ pub fn parse(argv: &[String]) -> Result<Args, ArgError> {
             }
         }
     }
-    if args.serve || args.fuzz.is_some() {
-        // Neither the daemon nor a fuzzing campaign takes an input file;
-        // a stray one is a usage error.
+    if args.fuzz.is_some() {
+        // A fuzzing campaign takes no input file; a stray one is a usage
+        // error.
         if let Some(extra) = input {
-            let mode = if args.serve { "--serve" } else { "--fuzz" };
-            return Err(ArgError(format!("{mode} takes no input file (got `{extra}`)")));
+            return Err(ArgError(format!("--fuzz takes no input file (got `{extra}`)")));
         }
     } else {
         args.input = input.ok_or_else(|| ArgError(format!("no input file\n\n{USAGE}")))?;
@@ -392,39 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_flags_parse() {
-        let a = p(&[
-            "--serve",
-            "--addr",
-            "0.0.0.0:9000",
-            "--workers",
-            "8",
-            "--cache-dir",
-            "/tmp/lslp",
-            "--chaos",
-            "seed=7,panic=0.1",
-        ])
-        .unwrap();
-        assert!(a.serve);
-        assert_eq!(a.addr, "0.0.0.0:9000");
-        assert_eq!(a.workers, Some(8));
-        assert_eq!(a.cache_dir.as_deref(), Some("/tmp/lslp"));
-        assert_eq!(a.chaos.as_deref(), Some("seed=7,panic=0.1"));
-        assert!(a.input.is_empty(), "daemon mode has no input file");
-        assert!(p(&["--serve", "kernel.slc"]).unwrap_err().0.contains("takes no input"));
-        assert!(p(&["--serve", "--workers", "many"]).unwrap_err().0.contains("bad --workers"));
-        assert!(
-            p(&["--serve", "--chaos", "panic=2.0"]).unwrap_err().0.contains("bad --chaos"),
-            "chaos specs are validated at parse time"
-        );
-        let d = p(&["k.slc"]).unwrap();
-        assert!(!d.serve);
-        assert_eq!(d.workers, None);
-        assert_eq!(d.cache_dir, None);
-        assert_eq!(d.chaos, None);
-    }
-
-    #[test]
     fn fuzz_flags_parse() {
         let a = p(&["--fuzz", "2000", "--fuzz-seed", "7", "--fuzz-dir", "corpus"]).unwrap();
         assert_eq!(a.fuzz, Some(2000));
@@ -449,6 +374,10 @@ mod tests {
         assert!(p(&["a", "b"]).unwrap_err().0.contains("more than one"));
         assert!(p(&["a", "--emit", "svg"]).unwrap_err().0.contains("unknown --emit"));
         assert!(p(&["a", "--bogus"]).unwrap_err().0.contains("unknown option"));
+        assert!(
+            p(&["--serve"]).unwrap_err().0.contains("unknown option"),
+            "the daemon front-end is lslpd"
+        );
         assert!(p(&["a", "--iters"]).unwrap_err().0.contains("requires a value"));
         assert!(p(&["--help"]).unwrap_err().0.contains("USAGE"));
     }

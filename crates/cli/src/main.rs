@@ -16,9 +16,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.serve {
-        return serve(&args);
-    }
     if args.fuzz.is_some() {
         return fuzz(&args);
     }
@@ -81,40 +78,6 @@ fn fuzz(args: &lslp_cli::Args) -> ExitCode {
         Err(e) => {
             eprintln!("{e}");
             ExitCode::from(2)
-        }
-    }
-}
-
-/// `lslpc --serve`: run the `lslpd` daemon in-process.
-fn serve(args: &lslp_cli::Args) -> ExitCode {
-    let mut cfg = lslp_server::ServerConfig { addr: args.addr.clone(), ..Default::default() };
-    if let Some(workers) = args.workers {
-        cfg.workers = workers;
-    }
-    cfg.cache_dir = args.cache_dir.clone();
-    if let Some(spec) = &args.chaos {
-        // Validated during argument parsing; re-parse into the config type.
-        match lslp_server::chaos::ChaosConfig::parse(spec) {
-            Ok(c) => cfg.chaos = Some(c),
-            Err(e) => {
-                eprintln!("lslpc: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let server = match lslp_server::Server::bind(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("lslpc: cannot bind {}: {e}", args.addr);
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!("lslpc: serving on {} (send SHUTDOWN to stop)", server.local_addr());
-    match server.run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("lslpc: {e}");
-            ExitCode::FAILURE
         }
     }
 }

@@ -8,7 +8,6 @@
 //!
 //! let opts = CompileOptions::preset("lslp")
 //!     .target("avx512")
-//!     .look_ahead(3)
 //!     .time_budget_ms(50)
 //!     .build()
 //!     .unwrap();
@@ -20,9 +19,11 @@
 //! ```
 //!
 //! The builder validates *combinations*, not just individual values:
-//! asking for look-ahead tuning on a preset that never reorders, or
+//! asking for a packing strategy on a preset that never vectorizes, or
 //! paranoid differential execution with the guard off, is rejected with a
-//! typed [`OptionsError`] instead of being silently ignored.
+//! typed [`OptionsError`] instead of being silently ignored. Vectorizer
+//! tuning (look-ahead depth, multi-node size, throttling) comes with the
+//! preset: `LSLP-LA{n}`, `LSLP-Multi{n}`, `LSLP-Throttle`.
 //!
 //! [`LslpError`] consolidates the failure taxonomy that used to be split
 //! between the CLI driver and the compile daemon. Every error carries a
@@ -35,7 +36,7 @@ use lslp_analysis::AnalysisManager;
 use lslp_ir::Module;
 use lslp_target::{TargetParseError, TargetSpec};
 
-use crate::config::{PackingStrategy, ReorderStrategy, Sabotage, ScoreWeights, VectorizerConfig};
+use crate::config::{PackingStrategy, Sabotage, VectorizerConfig};
 use crate::guard::GuardMode;
 use crate::pipeline::{self, PipelineReport, Schedule};
 
@@ -83,8 +84,8 @@ pub enum OptionsError {
         /// What was wrong with it.
         why: String,
     },
-    /// Two settings contradict each other (e.g. look-ahead tuning on a
-    /// preset that never reorders).
+    /// Two settings contradict each other (e.g. a packing strategy on a
+    /// preset that never vectorizes).
     Inconsistent {
         /// The option that cannot take effect.
         option: &'static str,
@@ -245,17 +246,10 @@ fn canonical_preset(name: &str) -> Option<String> {
 pub struct CompileOptionsBuilder {
     preset: String,
     target: Option<String>,
-    look_ahead: Option<u32>,
-    multinode_limit: Option<usize>,
-    score_weights: Option<ScoreWeights>,
-    max_vf: Option<u32>,
     time_budget_ms: Option<u64>,
-    max_graph_nodes: Option<usize>,
     guard: Option<String>,
     packing: Option<String>,
     paranoid: bool,
-    throttle: Option<bool>,
-    reductions: Option<bool>,
     pipeline: bool,
     sabotage: Sabotage,
 }
@@ -265,17 +259,10 @@ impl CompileOptionsBuilder {
         CompileOptionsBuilder {
             preset: preset.to_string(),
             target: None,
-            look_ahead: None,
-            multinode_limit: None,
-            score_weights: None,
-            max_vf: None,
             time_budget_ms: None,
-            max_graph_nodes: None,
             guard: None,
             packing: None,
             paranoid: false,
-            throttle: None,
-            reductions: None,
             pipeline: true,
             sabotage: Sabotage::None,
         }
@@ -288,41 +275,9 @@ impl CompileOptionsBuilder {
         self
     }
 
-    /// Override the look-ahead depth (only meaningful for presets that
-    /// reorder with look-ahead; rejected otherwise).
-    pub fn look_ahead(mut self, depth: u32) -> Self {
-        self.look_ahead = Some(depth);
-        self
-    }
-
-    /// Cap the per-lane multi-node size (LSLP presets only).
-    pub fn multinode_limit(mut self, max_insts: usize) -> Self {
-        self.multinode_limit = Some(max_insts);
-        self
-    }
-
-    /// Override the look-ahead leaf-match weights (look-ahead presets
-    /// only).
-    pub fn score_weights(mut self, weights: ScoreWeights) -> Self {
-        self.score_weights = Some(weights);
-        self
-    }
-
-    /// Cap the vector factor below the target's register width.
-    pub fn max_vf(mut self, vf: u32) -> Self {
-        self.max_vf = Some(vf);
-        self
-    }
-
     /// Wall-clock compile budget per function, in milliseconds.
     pub fn time_budget_ms(mut self, ms: u64) -> Self {
         self.time_budget_ms = Some(ms);
-        self
-    }
-
-    /// Node-count fuel per seed attempt.
-    pub fn max_graph_nodes(mut self, nodes: usize) -> Self {
-        self.max_graph_nodes = Some(nodes);
         self
     }
 
@@ -348,18 +303,6 @@ impl CompileOptionsBuilder {
     /// pre-transform snapshot (slow; requires the guard to be on).
     pub fn paranoid(mut self, on: bool) -> Self {
         self.paranoid = on;
-        self
-    }
-
-    /// Enable or disable SLP-graph throttling.
-    pub fn throttle(mut self, on: bool) -> Self {
-        self.throttle = Some(on);
-        self
-    }
-
-    /// Enable or disable horizontal-reduction vectorization.
-    pub fn reductions(mut self, on: bool) -> Self {
-        self.reductions = Some(on);
         self
     }
 
@@ -394,65 +337,6 @@ impl CompileOptionsBuilder {
             None => TargetSpec::default(),
         };
 
-        // Reordering knobs only make sense where reordering happens.
-        let look_ahead_capable = cfg.reorder == ReorderStrategy::LookAhead;
-        if self.look_ahead.is_some() && !look_ahead_capable {
-            return Err(OptionsError::Inconsistent {
-                option: "look_ahead",
-                why: format!("preset `{preset}` does not use look-ahead reordering"),
-            });
-        }
-        if self.score_weights.is_some() && !look_ahead_capable {
-            return Err(OptionsError::Inconsistent {
-                option: "score_weights",
-                why: format!("preset `{preset}` never consults the look-ahead score"),
-            });
-        }
-        if self.multinode_limit.is_some() && !look_ahead_capable {
-            return Err(OptionsError::Inconsistent {
-                option: "multinode_limit",
-                why: format!("preset `{preset}` does not form multi-nodes"),
-            });
-        }
-        if !cfg.enabled {
-            for (set, option) in [
-                (self.max_vf.is_some(), "max_vf"),
-                (self.max_graph_nodes.is_some(), "max_graph_nodes"),
-                (self.throttle == Some(true), "throttle"),
-                (self.reductions == Some(true), "reductions"),
-            ] {
-                if set {
-                    return Err(OptionsError::Inconsistent {
-                        option,
-                        why: format!("preset `{preset}` disables the vectorizer"),
-                    });
-                }
-            }
-        }
-        if let Some(limit) = self.multinode_limit {
-            if limit == 0 {
-                return Err(OptionsError::BadValue {
-                    option: "multinode_limit",
-                    why: "must be at least 1 (1 disables multi-node formation)".into(),
-                });
-            }
-            cfg.max_multinode_insts = limit;
-        }
-        if let Some(depth) = self.look_ahead {
-            cfg.la_depth = depth;
-        }
-        if let Some(w) = self.score_weights {
-            cfg.score_weights = w;
-        }
-        if let Some(vf) = self.max_vf {
-            if vf < 2 {
-                return Err(OptionsError::BadValue {
-                    option: "max_vf",
-                    why: format!("{vf} leaves nothing to vectorize (minimum 2)"),
-                });
-            }
-            cfg.max_vf = vf;
-        }
         if let Some(ms) = self.time_budget_ms {
             if ms == 0 {
                 return Err(OptionsError::BadValue {
@@ -461,15 +345,6 @@ impl CompileOptionsBuilder {
                 });
             }
             cfg.time_budget_ms = Some(ms);
-        }
-        if let Some(nodes) = self.max_graph_nodes {
-            if nodes == 0 {
-                return Err(OptionsError::BadValue {
-                    option: "max_graph_nodes",
-                    why: "a zero budget would gather every bundle".into(),
-                });
-            }
-            cfg.max_graph_nodes = nodes;
         }
         if let Some(mode) = &self.guard {
             cfg.guard =
@@ -496,12 +371,6 @@ impl CompileOptionsBuilder {
             });
         }
         cfg.paranoid = self.paranoid;
-        if let Some(t) = self.throttle {
-            cfg.throttle = t;
-        }
-        if let Some(r) = self.reductions {
-            cfg.enable_reductions = r;
-        }
         cfg.sabotage = self.sabotage;
 
         Ok(CompileOptions { preset, config: cfg, target, pipeline: self.pipeline })
@@ -608,15 +477,10 @@ mod tests {
 
     #[test]
     fn builder_happy_path() {
-        let opts = CompileOptions::preset("lslp")
-            .target("avx512")
-            .look_ahead(3)
-            .time_budget_ms(50)
-            .build()
-            .unwrap();
+        let opts =
+            CompileOptions::preset("lslp").target("avx512").time_budget_ms(50).build().unwrap();
         assert_eq!(opts.preset_name(), "LSLP");
         assert_eq!(opts.target().name, "avx512");
-        assert_eq!(opts.config().la_depth, 3);
         assert_eq!(opts.config().time_budget_ms, Some(50));
         assert!(opts.pipeline());
     }
@@ -644,36 +508,6 @@ mod tests {
             CompileOptions::preset("LSLP").target("itanium").build(),
             Err(OptionsError::BadTarget(_))
         ));
-    }
-
-    #[test]
-    fn lookahead_knobs_rejected_on_non_lookahead_presets() {
-        // The combination the redesign exists to catch: SLP-NR never
-        // reorders, so look-ahead tuning on it is a contradiction, not a
-        // silent no-op.
-        for build in [
-            CompileOptions::preset("SLP-NR").look_ahead(4).build(),
-            CompileOptions::preset("SLP-NR").score_weights(ScoreWeights::llvm_like()).build(),
-            CompileOptions::preset("SLP").multinode_limit(2).build(),
-        ] {
-            assert!(matches!(build, Err(OptionsError::Inconsistent { .. })), "{build:?}");
-        }
-        // The same knobs are fine where look-ahead actually runs.
-        assert!(CompileOptions::preset("LSLP")
-            .look_ahead(4)
-            .score_weights(ScoreWeights::llvm_like())
-            .multinode_limit(2)
-            .build()
-            .is_ok());
-    }
-
-    #[test]
-    fn vectorizer_knobs_rejected_on_o3() {
-        assert!(matches!(
-            CompileOptions::preset("O3").max_vf(4).build(),
-            Err(OptionsError::Inconsistent { option: "max_vf", .. })
-        ));
-        assert!(CompileOptions::preset("O3").build().is_ok());
     }
 
     #[test]
@@ -740,16 +574,8 @@ mod tests {
     #[test]
     fn out_of_range_values_are_typed_errors() {
         assert!(matches!(
-            CompileOptions::preset("LSLP").max_vf(1).build(),
-            Err(OptionsError::BadValue { option: "max_vf", .. })
-        ));
-        assert!(matches!(
             CompileOptions::preset("LSLP").time_budget_ms(0).build(),
             Err(OptionsError::BadValue { option: "time_budget_ms", .. })
-        ));
-        assert!(matches!(
-            CompileOptions::preset("LSLP").max_graph_nodes(0).build(),
-            Err(OptionsError::BadValue { option: "max_graph_nodes", .. })
         ));
     }
 

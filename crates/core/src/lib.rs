@@ -95,5 +95,5 @@ pub use pm::{
     CsePass, DcePass, FoldPass, IfConvertPass, Pass, PassContext, PassManager, PassResult,
     PassTiming, SimplifyPass, UnrollLoopsPass, VectorizePass,
 };
-pub use stats::{StatRow, Statistics, SyncStatistics};
+pub use stats::{StatRow, Statistics};
 pub use unroll::UNROLL_BUDGET;

@@ -2,7 +2,7 @@
 //!
 //! Pack selection is three phases, shared by every strategy:
 //!
-//! 1. **Enumeration** ([`cost_bundle`]): cost a candidate store bundle at
+//! 1. **Enumeration** (`cost_bundle`): cost a candidate store bundle at
 //!    one VF under the guard, recording an [`Attempt`] row and the gather
 //!    reasons exactly once per bundle.
 //! 2. **Selection**: order or choose among profitable candidates —
@@ -11,7 +11,7 @@
 //!    chain by dynamic programming with a bounded branch-and-bound
 //!    refinement over inter-pack permutation penalties
 //!    (`TargetSpec::cross_pack_shuffle_cost`).
-//! 3. **Commit** ([`commit_pack`]): regenerate the chosen graph and emit
+//! 3. **Commit** (`commit_pack`): regenerate the chosen graph and emit
 //!    vector code inside a guard transaction, then restart seeding.
 //!
 //! [`GlobalStrategy`] additionally holds itself to a **greedy floor**: it

@@ -1,16 +1,18 @@
-//! Pass statistics registry (LLVM `-stats` style).
+//! The counter registry (LLVM `-stats` style).
 //!
 //! Passes report named counters ("how many instructions did CSE merge",
 //! "how many trees did the vectorizer commit") through the
 //! [`crate::pm::PassContext`] they run under. Counters accumulate per
 //! `(pass, counter)` key over one pipeline run and are surfaced through
-//! [`crate::PipelineReport::stats`] and `lslpc --stats`.
+//! [`crate::PipelineReport::stats`] and `lslpc --stats`. The `lslpd`
+//! compile service keeps its monotonic counters (requests, cache hits and
+//! misses, worker restarts, ...) in one shared registry of the same type.
 //!
-//! Interior mutability keeps the reporting API usable from `&PassContext`
-//! (many passes share the registry within one run); the registry is
-//! single-threaded like the rest of the pipeline.
+//! The registry is thread-safe: counters live behind a `Mutex`, so passes
+//! report through `&PassContext` and many service threads report into one
+//! registry alike. Rows render sorted by pass then counter name, so dumps
+//! are deterministic modulo counter values.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
@@ -26,10 +28,20 @@ pub struct StatRow {
     pub value: u64,
 }
 
-/// An accumulating registry of named per-pass counters.
-#[derive(Clone, Debug, Default)]
+/// An accumulating, thread-safe registry of named per-pass counters.
+#[derive(Debug, Default)]
 pub struct Statistics {
-    counters: RefCell<BTreeMap<(String, String), u64>>,
+    /// Nested pass → counter → value so the hot [`Statistics::add`] path
+    /// can look up existing cells by `&str` without allocating the owned
+    /// `(String, String)` key a flat map would demand (the compile service
+    /// bumps per-request counters on every served request).
+    counters: Mutex<BTreeMap<String, BTreeMap<String, u64>>>,
+}
+
+impl Clone for Statistics {
+    fn clone(&self) -> Statistics {
+        Statistics { counters: Mutex::new(self.cells().clone()) }
+    }
 }
 
 impl Statistics {
@@ -38,34 +50,45 @@ impl Statistics {
         Statistics::default()
     }
 
+    fn cells(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, BTreeMap<String, u64>>> {
+        self.counters.lock().expect("statistics lock")
+    }
+
     /// Add `n` to the `(pass, counter)` cell (creating it at zero).
     pub fn add(&self, pass: &str, counter: &str, n: u64) {
         if n == 0 {
             return;
         }
-        *self.counters.borrow_mut().entry((pass.to_string(), counter.to_string())).or_insert(0) +=
-            n;
+        let mut counters = self.cells();
+        // Borrowed-key lookup first: the cell exists on every call but the
+        // first, and `entry()` would force two String allocations per call.
+        if let Some(cell) = counters.get_mut(pass).and_then(|c| c.get_mut(counter)) {
+            *cell += n;
+            return;
+        }
+        *counters.entry(pass.to_string()).or_default().entry(counter.to_string()).or_insert(0) += n;
     }
 
     /// Current value of a counter (0 when never reported).
     pub fn get(&self, pass: &str, counter: &str) -> u64 {
-        self.counters.borrow().get(&(pass.to_string(), counter.to_string())).copied().unwrap_or(0)
+        self.cells().get(pass).and_then(|c| c.get(counter)).copied().unwrap_or(0)
     }
 
     /// Whether no counter was ever reported.
     pub fn is_empty(&self) -> bool {
-        self.counters.borrow().is_empty()
+        self.cells().is_empty()
     }
 
     /// All rows, sorted by pass then counter name.
     pub fn rows(&self) -> Vec<StatRow> {
-        self.counters
-            .borrow()
+        self.cells()
             .iter()
-            .map(|((pass, counter), &value)| StatRow {
-                pass: pass.clone(),
-                counter: counter.clone(),
-                value,
+            .flat_map(|(pass, cells)| {
+                cells.iter().map(move |(counter, &value)| StatRow {
+                    pass: pass.clone(),
+                    counter: counter.clone(),
+                    value,
+                })
             })
             .collect()
     }
@@ -89,76 +112,6 @@ impl fmt::Display for Statistics {
             writeln!(f, "{:>width$}  {} - {}", r.value, r.pass, r.counter)?;
         }
         Ok(())
-    }
-}
-
-/// A thread-safe [`Statistics`] for concurrent consumers (the `lslpd`
-/// compile service, parallel harnesses).
-///
-/// Same `(pass, counter)` accumulation semantics, but counters live behind
-/// a `Mutex` so many worker threads can report into one registry. Use
-/// [`SyncStatistics::snapshot`] to obtain a point-in-time [`Statistics`]
-/// for rendering (rows stay sorted by pass then counter name, so dumps are
-/// deterministic modulo counter values).
-#[derive(Debug, Default)]
-pub struct SyncStatistics {
-    /// Nested pass → counter → value so the hot [`SyncStatistics::add`]
-    /// path can look up existing cells by `&str` without allocating the
-    /// owned `(String, String)` key a flat map would demand (the compile
-    /// service bumps per-request counters on every served request).
-    counters: Mutex<BTreeMap<String, BTreeMap<String, u64>>>,
-}
-
-impl SyncStatistics {
-    /// An empty registry.
-    pub fn new() -> SyncStatistics {
-        SyncStatistics::default()
-    }
-
-    /// Add `n` to the `(pass, counter)` cell (creating it at zero).
-    pub fn add(&self, pass: &str, counter: &str, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let mut counters = self.counters.lock().expect("statistics lock");
-        // Borrowed-key lookup first: the cell exists on every call but the
-        // first, and `entry()` would force two String allocations per call.
-        if let Some(cell) = counters.get_mut(pass).and_then(|c| c.get_mut(counter)) {
-            *cell += n;
-            return;
-        }
-        *counters.entry(pass.to_string()).or_default().entry(counter.to_string()).or_insert(0) += n;
-    }
-
-    /// Current value of a counter (0 when never reported).
-    pub fn get(&self, pass: &str, counter: &str) -> u64 {
-        self.counters
-            .lock()
-            .expect("statistics lock")
-            .get(pass)
-            .and_then(|c| c.get(counter))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Fold a single-threaded registry's counters into this one (e.g. a
-    /// per-request [`Statistics`] produced by one pipeline run).
-    pub fn absorb(&self, other: &Statistics) {
-        let mut counters = self.counters.lock().expect("statistics lock");
-        for row in other.rows() {
-            *counters.entry(row.pass).or_default().entry(row.counter).or_insert(0) += row.value;
-        }
-    }
-
-    /// A point-in-time copy as a plain [`Statistics`].
-    pub fn snapshot(&self) -> Statistics {
-        let s = Statistics::new();
-        for (pass, cells) in self.counters.lock().expect("statistics lock").iter() {
-            for (counter, &value) in cells {
-                s.add(pass, counter, value);
-            }
-        }
-        s
     }
 }
 
@@ -220,8 +173,8 @@ mod tests {
     }
 
     #[test]
-    fn sync_statistics_accumulate_across_threads() {
-        let s = SyncStatistics::new();
+    fn statistics_accumulate_across_threads() {
+        let s = Statistics::new();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
@@ -232,21 +185,7 @@ mod tests {
             }
         });
         assert_eq!(s.get("server", "requests"), 400);
-        assert_eq!(s.snapshot().get("server", "requests"), 400);
-    }
-
-    #[test]
-    fn sync_statistics_absorb_and_snapshot() {
-        let local = Statistics::new();
-        local.add("cse", "insts-merged", 3);
-        let global = SyncStatistics::new();
-        global.absorb(&local);
-        global.absorb(&local);
-        global.add("server", "cache-hits", 1);
-        let snap = global.snapshot();
-        assert_eq!(snap.get("cse", "insts-merged"), 6);
-        assert_eq!(snap.get("server", "cache-hits"), 1);
-        assert_eq!(snap.rows().len(), 2);
+        assert_eq!(s.clone().get("server", "requests"), 400);
     }
 
     #[test]

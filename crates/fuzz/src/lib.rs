@@ -11,7 +11,7 @@
 //!   carry control flow ([`plan::ControlPlan`]: counted loops with
 //!   2–8 iterations, branch diamonds, or both), putting if-conversion
 //!   and unroll-and-SLP inside the fuzzed perimeter;
-//! * [`build`] — materializes a plan as one function (straight-line, or
+//! * [`build`](mod@build) — materializes a plan as one function (straight-line, or
 //!   a small CFG for control plans), either by direct IR construction or
 //!   by compiling rendered SLC source (so the frontend is fuzzed too);
 //! * [`oracle`] — five correctness oracles run on every program and

@@ -18,14 +18,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Counters describing cache effectiveness, wired into the service's
-/// [`lslp::SyncStatistics`] registry by the caller.
+/// Cache occupancy gauges for the `STATS` `cache:` line. Hits and misses
+/// are request outcomes, so the service counts them in its
+/// [`lslp::Statistics`] registry, once per request.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that required a compile.
-    pub misses: u64,
     /// Entries dropped to make room.
     pub evictions: u64,
     /// Entries currently resident.
@@ -115,8 +112,6 @@ pub struct ResultCache {
     /// Capacity per shard (total capacity / shard count, at least 1).
     shard_capacity: usize,
     clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -128,8 +123,6 @@ impl ResultCache {
             shard_capacity: (capacity.max(1)).div_ceil(shards),
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -142,20 +135,15 @@ impl ResultCache {
     }
 
     /// Look up `key` (with its full `material` for collision rejection).
-    /// Counts a hit or a miss.
     pub fn get(&self, key: u64, material: &str) -> Option<CachedResult> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(key).lock().expect("cache shard lock");
         match shard.map.get_mut(&key) {
             Some(entry) if entry.material == material => {
                 entry.stamp = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(entry.result.clone())
             }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            _ => None,
         }
     }
 
@@ -169,13 +157,9 @@ impl ResultCache {
         match shard.map.get_mut(&key) {
             Some(entry) if material_matches(&entry.material, parts) => {
                 entry.stamp = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(entry.result.clone())
             }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            _ => None,
         }
     }
 
@@ -222,12 +206,7 @@ impl ResultCache {
     pub fn counters(&self) -> CacheCounters {
         let entries =
             self.shards.iter().map(|s| s.lock().expect("cache shard lock").map.len() as u64).sum();
-        CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
-        }
+        CacheCounters { evictions: self.evictions.load(Ordering::Relaxed), entries }
     }
 }
 
@@ -253,8 +232,7 @@ mod tests {
         assert_eq!(cache.get(key, "src\0LSLP"), None);
         cache.insert(key, "src\0LSLP", result("out"));
         assert_eq!(cache.get(key, "src\0LSLP").unwrap().output, "out");
-        let c = cache.counters();
-        assert_eq!((c.hits, c.misses, c.entries), (1, 1, 1));
+        assert_eq!(cache.counters().entries, 1);
     }
 
     #[test]
@@ -347,9 +325,7 @@ mod tests {
                 });
             }
         });
-        let c = cache.counters();
-        assert_eq!(c.hits + c.misses, 800);
-        assert!(c.entries <= 64);
+        assert!(cache.counters().entries <= 64);
         // Every resident entry serves its own content back.
         for m in 0..32u64 {
             let material = format!("m{m}");

@@ -1,7 +1,7 @@
 //! A blocking `lslpd` client: one request line out, one response line in.
 //!
-//! Used by `lslpc --serve`-adjacent tooling, the integration tests, and
-//! the `serve_throughput` load generator.
+//! Used by the connection [`Pool`](crate::Pool), the integration tests,
+//! and the `serve_throughput` load generator.
 //!
 //! Two layers:
 //!
@@ -114,11 +114,25 @@ impl RetryOutcome {
     }
 }
 
+impl RetryPolicy {
+    /// The sleep before the next try after failed attempt number
+    /// `attempt` (1-based): exponential from `base_delay`, capped at
+    /// `max_delay`, with deterministic jitter in [0.5, 1.0]× drawn from
+    /// `seed + salt`. Callers pick the salt so concurrent requests do not
+    /// back off in lockstep.
+    pub(crate) fn backoff(&self, attempt: u32, salt: u64) -> Duration {
+        let shift = attempt.saturating_sub(1).min(16);
+        let exp = self.base_delay.saturating_mul(1u32 << shift).min(self.max_delay);
+        let frac = (splitmix64(self.seed.wrapping_add(salt)) >> 11) as f64 / (1u64 << 53) as f64;
+        exp.mul_f64(0.5 + 0.5 * frac)
+    }
+}
+
 /// Is this response worth retrying? `overload` is the queue shedding load
 /// (the server explicitly asks for backoff), and the worker-lost internal
 /// error is transient by construction — the watchdog is respawning the
 /// worker that died holding the request.
-fn retryable(resp: &Response) -> bool {
+pub(crate) fn retryable(resp: &Response) -> bool {
     match resp.error {
         Some(ErrorKind::Overload) => true,
         Some(ErrorKind::Internal) => resp.payload.contains("worker dropped the request"),
@@ -322,12 +336,7 @@ impl Client {
                     elapsed: started.elapsed(),
                 };
             }
-            // Exponential backoff with deterministic jitter in [0.5, 1.0]×.
-            let shift = (attempts - 1).min(16);
-            let exp = policy.base_delay.saturating_mul(1u32 << shift).min(policy.max_delay);
-            let frac = (splitmix64(policy.seed.wrapping_add(attempts as u64)) >> 11) as f64
-                / (1u64 << 53) as f64;
-            let delay = exp.mul_f64(0.5 + 0.5 * frac);
+            let delay = policy.backoff(attempts, attempts as u64);
             if let Some(deadline) = policy.deadline {
                 if started.elapsed() + delay >= deadline {
                     return RetryOutcome {
@@ -363,9 +372,8 @@ impl Client {
         self.retry_line(&req.to_line(), policy)
     }
 
-    /// Version handshake: announce this build's
-    /// [`PROTOCOL_VERSION`](crate::protocol::PROTOCOL_VERSION). An `ERR
-    /// kind=proto` response means the server does not speak it.
+    /// Version handshake: announce this build's [`PROTOCOL_VERSION`]. An
+    /// `ERR kind=proto` response means the server does not speak it.
     ///
     /// # Errors
     ///

@@ -6,14 +6,16 @@
 //! rejection backpressure ([`queue`]), a worker pool that compiles each
 //! cache miss through a fresh [`lslp::Session`], and a sharded
 //! content-addressed result cache ([`cache`]) so repeated traffic is
-//! served without re-running the pipeline. Metrics (per-pass counters, cache hits, queue depth, latency
-//! percentiles) accumulate in a [`lslp::SyncStatistics`] registry and are
-//! served by the `STATS` verb ([`metrics`]).
+//! served without re-running the pipeline. Monotonic counters (per-pass
+//! counters, requests, cache hits and misses, worker restarts) accumulate
+//! in one [`lslp::Statistics`] registry; with the instantaneous gauges
+//! (queue depth, open connections, latency percentiles) they are served
+//! by the `STATS` verb ([`metrics`]).
 //!
 //! `std`-only by design: nonblocking `TcpListener` + `thread` (the build
 //! environment has no package registry), which also keeps the concurrency
 //! model auditable — one readiness-driven event-loop thread owning every
-//! connection ([`net`]: poll-based registration, per-connection buffers
+//! connection (`net`: poll-based registration, per-connection buffers
 //! and frame decoding, protocol-v4 pipelining with tagged out-of-order
 //! responses), and a supervised pool of compile workers behind the
 //! queue, joined to the loop by a completion seam. The client side adds
@@ -64,7 +66,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lslp::api::{CompileOptions, LslpError, Session};
-use lslp::{PipelineReport, SyncStatistics};
+use lslp::{PipelineReport, Statistics};
 
 use cache::{content_key, CachedResult, ResultCache};
 use chaos::{Chaos, ChaosConfig};
@@ -135,17 +137,6 @@ struct Job {
     done: net::Completion,
 }
 
-/// Watchdog-visible worker-pool gauges.
-#[derive(Default)]
-struct Supervision {
-    /// Workers respawned after a panic death.
-    restarts: AtomicU64,
-    /// Stall incidents (worker busy past the threshold).
-    stalls: AtomicU64,
-    /// Workers currently alive (watchdog's last census).
-    alive: AtomicU64,
-}
-
 /// State shared by the acceptor, connection threads, workers, and the
 /// watchdog.
 struct Shared {
@@ -154,9 +145,11 @@ struct Shared {
     cache: ResultCache,
     persist: Option<PersistentCache>,
     chaos: Option<Chaos>,
-    supervision: Supervision,
+    /// Workers currently alive (the watchdog's last census).
+    workers_alive: AtomicU64,
     net: net::NetGauges,
-    registry: SyncStatistics,
+    /// Every monotonic service counter, plus the absorbed per-pass rows.
+    registry: Statistics,
     latency: LatencyReservoir,
     shutdown: AtomicBool,
     started: Instant,
@@ -178,9 +171,9 @@ impl Shared {
             cache: ResultCache::new(cfg.cache_capacity, cfg.cache_shards),
             persist,
             chaos: cfg.chaos.clone().filter(|c| c.is_active()).map(Chaos::new),
-            supervision: Supervision::default(),
+            workers_alive: AtomicU64::new(0),
             net: net::NetGauges::default(),
-            registry: SyncStatistics::new(),
+            registry: Statistics::new(),
             latency: LatencyReservoir::new(),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
@@ -338,7 +331,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
     let mut slots: Vec<(Arc<WorkerState>, Option<JoinHandle<()>>)> =
         (0..configured).map(|_| spawn_worker(shared)).map(|(s, h)| (s, Some(h))).collect();
     let mut stall_flagged = vec![false; slots.len()];
-    shared.supervision.alive.store(configured as u64, Ordering::Relaxed);
+    shared.workers_alive.store(configured as u64, Ordering::Relaxed);
     loop {
         std::thread::sleep(WATCHDOG_TICK);
         let drained = shared.queue.is_closed() && shared.queue.is_empty();
@@ -352,7 +345,6 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 if busy > 0 && now_ms.saturating_sub(busy) > shared.cfg.stall_after_ms {
                     if !stall_flagged[i] {
                         stall_flagged[i] = true;
-                        shared.supervision.stalls.fetch_add(1, Ordering::Relaxed);
                         shared.registry.add("server", "worker-stalls", 1);
                         if slots.len() < configured * 2 {
                             let (s, h) = spawn_worker(shared);
@@ -370,7 +362,6 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 // panic is the fault we are healing from).
                 let _ = handle.join();
                 if !slots[i].0.clean_exit.load(Ordering::Relaxed) && !drained {
-                    shared.supervision.restarts.fetch_add(1, Ordering::Relaxed);
                     shared.registry.add("server", "worker-restarts", 1);
                     let (s, h) = spawn_worker(shared);
                     slots[i] = (s, Some(h));
@@ -379,7 +370,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 }
             }
         }
-        shared.supervision.alive.store(alive, Ordering::Relaxed);
+        shared.workers_alive.store(alive, Ordering::Relaxed);
         if alive == 0 && drained {
             return;
         }
@@ -456,7 +447,7 @@ fn dispatch_compile(
 fn render_health(shared: &Shared) -> String {
     let draining = shared.shutdown.load(Ordering::SeqCst);
     let disk_degraded = shared.persist.as_ref().is_some_and(PersistentCache::is_degraded);
-    let alive = shared.supervision.alive.load(Ordering::Relaxed);
+    let alive = shared.workers_alive.load(Ordering::Relaxed);
     let status = if draining {
         "draining"
     } else if disk_degraded || alive == 0 {
@@ -468,7 +459,7 @@ fn render_health(shared: &Shared) -> String {
         &[
             ("status", status.to_string()),
             ("workers-alive", alive.to_string()),
-            ("worker-restarts", shared.supervision.restarts.load(Ordering::Relaxed).to_string()),
+            ("worker-restarts", shared.registry.get("server", "worker-restarts").to_string()),
             ("degraded", u32::from(disk_degraded).to_string()),
             ("connections", shared.net.connections_open.load(Ordering::Relaxed).to_string()),
             ("inflight", shared.net.inflight.load(Ordering::Relaxed).to_string()),
@@ -477,7 +468,14 @@ fn render_health(shared: &Shared) -> String {
     )
 }
 
+/// The `STATS` payload. Counts (`hits`, `misses`, `accepted`,
+/// `rejected-conn-limit`, `restarts`, `stalls`) read the same copy of the
+/// registry that the rows render from, so they equal the matching
+/// `server - ...` rows even under load; everything else on the gauge
+/// lines is instantaneous.
 fn render_stats_payload(shared: &Shared) -> String {
+    let registry = shared.registry.clone();
+    let count = |counter: &str| registry.get("server", counter);
     let c = shared.cache.counters();
     let p = shared.persist.as_ref().map(PersistentCache::counters).unwrap_or_default();
     let extra = [
@@ -485,7 +483,11 @@ fn render_stats_payload(shared: &Shared) -> String {
             "cache",
             format!(
                 "entries={} capacity={} hits={} misses={} evictions={}",
-                c.entries, shared.cfg.cache_capacity, c.hits, c.misses, c.evictions
+                c.entries,
+                shared.cfg.cache_capacity,
+                count("cache-hits"),
+                count("cache-misses"),
+                c.evictions
             ),
         ),
         (
@@ -515,8 +517,8 @@ fn render_stats_payload(shared: &Shared) -> String {
                 shared.net.connections_open.load(Ordering::Relaxed),
                 shared.net.inflight.load(Ordering::Relaxed),
                 shared.net.pipeline_hwm.load(Ordering::Relaxed),
-                shared.net.accepted_total.load(Ordering::Relaxed),
-                shared.net.rejected_conn_limit.load(Ordering::Relaxed),
+                count("connections-accepted"),
+                count("rejected-conn-limit"),
                 shared.cfg.max_conns,
                 shared.cfg.pipeline_depth,
             ),
@@ -526,9 +528,9 @@ fn render_stats_payload(shared: &Shared) -> String {
             format!(
                 "configured={} alive={} restarts={} stalls={}",
                 shared.cfg.workers,
-                shared.supervision.alive.load(Ordering::Relaxed),
-                shared.supervision.restarts.load(Ordering::Relaxed),
-                shared.supervision.stalls.load(Ordering::Relaxed),
+                shared.workers_alive.load(Ordering::Relaxed),
+                count("worker-restarts"),
+                count("worker-stalls"),
             ),
         ),
         (
@@ -540,7 +542,7 @@ fn render_stats_payload(shared: &Shared) -> String {
             ),
         ),
     ];
-    metrics::render_stats(&shared.registry, &shared.latency, &extra)
+    metrics::render_stats(&registry, &shared.latency, &extra)
 }
 
 /// One worker: drains the queue until close, keeping its heartbeat block
@@ -950,7 +952,7 @@ mod tests {
     #[test]
     fn health_reports_ready_then_draining() {
         let s = shared();
-        s.supervision.alive.store(1, Ordering::Relaxed);
+        s.workers_alive.store(1, Ordering::Relaxed);
         let h = control("HEALTH", &s);
         assert!(h.ok, "{h:?}");
         assert_eq!(h.field("status"), Some("ready"));

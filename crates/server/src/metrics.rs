@@ -3,13 +3,13 @@
 //! Latencies go into a fixed-size ring reservoir (the last `CAP` request
 //! durations, in microseconds); percentiles are computed on a sorted copy
 //! at dump time. The dump itself is rendered from sorted keys throughout
-//! (the [`lslp::Statistics`] snapshot is ordered by construction, the
+//! (the [`lslp::Statistics`] registry is ordered by construction, the
 //! gauge lines are emitted in a fixed order), so two dumps of the same
 //! state are byte-identical — scripts can diff them.
 
 use std::sync::Mutex;
 
-use lslp::SyncStatistics;
+use lslp::Statistics;
 
 /// Ring-buffer latency reservoir.
 pub struct LatencyReservoir {
@@ -68,19 +68,11 @@ impl LatencyReservoir {
 
     /// Percentiles over the current reservoir contents.
     pub fn summary(&self) -> LatencySummary {
-        let ring = self.samples.lock().expect("latency lock");
-        if ring.buf.is_empty() {
-            return LatencySummary::default();
-        }
-        let mut sorted = ring.buf.clone();
-        sorted.sort_unstable();
-        let pick = |p: f64| sorted[((sorted.len() - 1) as f64 * p).round() as usize];
-        LatencySummary {
-            count: ring.total,
-            p50_us: pick(0.50),
-            p99_us: pick(0.99),
-            max_us: *sorted.last().expect("non-empty"),
-        }
+        let (mut samples, count) = {
+            let ring = self.samples.lock().expect("latency lock");
+            (ring.buf.clone(), ring.total)
+        };
+        LatencySummary { count, ..percentiles(&mut samples) }
     }
 }
 
@@ -104,14 +96,12 @@ pub fn percentiles(samples: &mut [u64]) -> LatencySummary {
 /// gauge block in fixed order. `extra` rows (queue depth etc.) are emitted
 /// as given — callers keep them in a fixed order.
 pub fn render_stats(
-    registry: &SyncStatistics,
+    registry: &Statistics,
     latency: &LatencyReservoir,
     extra: &[(&str, String)],
 ) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
-    let snapshot = registry.snapshot();
-    out.push_str(&snapshot.to_string());
+    let mut out = registry.to_string();
     let l = latency.summary();
     let _ = writeln!(
         out,
@@ -158,7 +148,7 @@ mod tests {
 
     #[test]
     fn stats_dump_is_deterministic_and_ordered() {
-        let reg = SyncStatistics::new();
+        let reg = Statistics::new();
         reg.add("server", "requests-ok", 2);
         reg.add("cse", "insts-merged", 1);
         let lat = LatencyReservoir::new();

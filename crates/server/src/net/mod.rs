@@ -118,8 +118,9 @@ impl Drop for Completion {
 }
 
 /// Loop-owned gauges surfaced through `STATS` (`net:` row) and `HEALTH`.
-/// These rise *and* fall, so they live outside the monotonic
-/// [`lslp::SyncStatistics`] registry.
+/// These rise *and* fall (or track a high-water mark), so they live
+/// outside the monotonic [`lslp::Statistics`] registry, which keeps the
+/// accepted and refused connection counts.
 #[derive(Default)]
 pub struct NetGauges {
     /// Connections currently registered with the poller.
@@ -128,10 +129,6 @@ pub struct NetGauges {
     pub inflight: AtomicU64,
     /// High-water mark of any single connection's in-flight count.
     pub pipeline_hwm: AtomicU64,
-    /// Connections accepted since start.
-    pub accepted_total: AtomicU64,
-    /// Connections refused at the `--max-conns` limit.
-    pub rejected_conn_limit: AtomicU64,
 }
 
 /// One registered connection plus its loop-side bookkeeping.
@@ -363,7 +360,6 @@ impl EventLoop {
                 continue;
             }
             if self.open_count() >= self.shared.cfg.max_conns {
-                self.shared.net.rejected_conn_limit.fetch_add(1, Ordering::Relaxed);
                 self.shared.registry.add("server", "rejected-conn-limit", 1);
                 reject_over_limit(stream, self.shared.cfg.max_conns);
                 continue;
@@ -379,7 +375,6 @@ impl EventLoop {
             });
             let token = Token { idx, gen: self.next_gen };
             self.slots[idx] = Some(Slot { conn, token, pending: VecDeque::new(), poisoned: false });
-            self.shared.net.accepted_total.fetch_add(1, Ordering::Relaxed);
             self.shared.net.connections_open.fetch_add(1, Ordering::Relaxed);
             self.shared.registry.add("server", "connections-accepted", 1);
         }

@@ -26,9 +26,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::chaos::splitmix64;
-use crate::client::{Client, ClientError, RetryOutcome, RetryPolicy};
-use crate::protocol::{CompileRequest, ErrorKind, Response};
+use crate::client::{retryable, Client, ClientError, RetryOutcome, RetryPolicy};
+use crate::protocol::{CompileRequest, Response};
 
 /// Pool tunables.
 #[derive(Clone, Debug)]
@@ -462,12 +461,7 @@ fn settle(
     pending: &mut VecDeque<FlightRecord>,
     results: &mut Vec<(usize, RetryOutcome)>,
 ) {
-    let retry = match resp.error {
-        Some(ErrorKind::Overload) => true,
-        Some(ErrorKind::Internal) => resp.payload.contains("worker dropped the request"),
-        _ => false,
-    };
-    if !retry {
+    if !retryable(&resp) {
         results.push((
             f.idx,
             RetryOutcome {
@@ -482,12 +476,7 @@ fn settle(
     }
     let now = Instant::now();
     let over_budget = f.attempts > policy.max_retries;
-    let shift = f.attempts.saturating_sub(1).min(16);
-    let exp = policy.base_delay.saturating_mul(1u32 << shift).min(policy.max_delay);
-    let frac = (splitmix64(policy.seed.wrapping_add(f.idx as u64 * 31 + f.attempts as u64)) >> 11)
-        as f64
-        / (1u64 << 53) as f64;
-    let delay = exp.mul_f64(0.5 + 0.5 * frac);
+    let delay = policy.backoff(f.attempts, f.idx as u64 * 31 + f.attempts as u64);
     let over_deadline = policy.deadline.is_some_and(|d| now.duration_since(f.started) + delay >= d);
     if over_budget || over_deadline {
         results.push((

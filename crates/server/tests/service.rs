@@ -88,6 +88,65 @@ fn cache_roundtrip_over_the_wire() {
     daemon.join().unwrap().unwrap();
 }
 
+/// `name=` on the `STATS` gauge line `block: ...`.
+fn gauge(stats: &str, block: &str, name: &str) -> u64 {
+    let fields = stats
+        .lines()
+        .find_map(|l| l.strip_prefix(block)?.strip_prefix(": "))
+        .unwrap_or_else(|| panic!("no `{block}:` line in\n{stats}"));
+    fields
+        .split(' ')
+        .find_map(|f| f.strip_prefix(name)?.strip_prefix('='))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no `{name}=` on `{block}:` in\n{stats}"))
+}
+
+/// The `server - counter` registry row of a `STATS` payload (0 when the
+/// counter was never reported).
+fn server_row(stats: &str, counter: &str) -> u64 {
+    let suffix = format!("  server - {counter}");
+    stats
+        .lines()
+        .find_map(|l| l.trim_start().strip_suffix(suffix.as_str()))
+        .map_or(0, |v| v.parse().unwrap())
+}
+
+#[test]
+fn stats_counts_agree_with_the_registry_rows() {
+    // K fresh compiles, then J repeats, over one connection: each request
+    // is one cache hit or one cache miss, and every line of STATS and
+    // HEALTH that shows a count reads the same registry cell.
+    const K: u64 = 5;
+    const J: u64 = 3;
+    let (addr, daemon) = Server::spawn(test_config()).unwrap();
+    let mut client = Client::connect(addr).unwrap();
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    let distinct =
+        |n: u64| CompileRequest::new(&SRC.replace("kernel k(", &format!("kernel k{n}(")));
+    for n in 0..K {
+        let r = client.compile(&distinct(n)).unwrap();
+        assert_eq!(r.field("cached"), Some("miss"), "{r:?}");
+    }
+    for n in 0..J {
+        let r = client.compile(&distinct(n)).unwrap();
+        assert_eq!(r.field("cached"), Some("hit"), "{r:?}");
+    }
+
+    let stats = client.stats().unwrap().payload;
+    assert_eq!(gauge(&stats, "cache", "hits"), J, "{stats}");
+    assert_eq!(gauge(&stats, "cache", "misses"), K, "each miss counts once:\n{stats}");
+    assert_eq!(server_row(&stats, "cache-hits"), J, "{stats}");
+    assert_eq!(server_row(&stats, "cache-misses"), K, "{stats}");
+    assert_eq!(gauge(&stats, "net", "accepted"), server_row(&stats, "connections-accepted"));
+    assert_eq!(gauge(&stats, "net", "accepted"), 1, "{stats}");
+    let health = client.health().unwrap();
+    let restarts: u64 = health.field("worker-restarts").unwrap().parse().unwrap();
+    assert_eq!(restarts, gauge(&stats, "workers", "restarts"), "{health:?}\n{stats}");
+
+    client.shutdown().unwrap();
+    daemon.join().unwrap().unwrap();
+}
+
 #[test]
 fn malformed_and_user_errors_do_not_kill_the_connection() {
     let (addr, daemon) = Server::spawn(test_config()).unwrap();
