@@ -5,6 +5,7 @@
 //! occurrence. Loads are merged only when no possibly-aliasing store
 //! intervenes; stores are barriers and never merged.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use lslp_analysis::AnalysisManager;
@@ -32,69 +33,42 @@ pub fn run(f: &mut Function) -> usize {
 pub fn run_with(f: &mut Function, am: &mut AnalysisManager) -> usize {
     let memdep = am.memdep(f);
     let mut table: HashMap<Key, ValueId> = HashMap::new();
-    let mut replace: Vec<(ValueId, ValueId)> = Vec::new();
     // Map from merged-away values to their representative, applied eagerly
     // while scanning so chains of duplicates (dup gep feeding dup load)
-    // merge in a single pass.
+    // merge in a single pass, then handed to one batched use rewrite.
     let mut resolved: HashMap<ValueId, ValueId> = HashMap::new();
     let resolve = |resolved: &HashMap<ValueId, ValueId>, v: ValueId| -> ValueId {
         resolved.get(&v).copied().unwrap_or(v)
     };
     for (_, id, inst) in f.iter_body() {
-        match inst.op {
-            Opcode::Store => {
-                continue;
+        // Stores are barriers and never merge. A load's memory epoch is
+        // precomputed by the MemDep analysis; a conservative fallback is
+        // "any store".
+        let mem_epoch = match inst.op {
+            Opcode::Store => continue,
+            Opcode::Load => memdep.load_epoch(id).unwrap_or(memdep.num_stores()),
+            _ => 0,
+        };
+        let key = Key {
+            op: inst.op,
+            ty: inst.ty,
+            args: inst.args.iter().map(|&a| resolve(&resolved, a)).collect(),
+            attr: inst.attr.clone(),
+            mem_epoch,
+        };
+        match table.entry(key) {
+            Entry::Occupied(first) => {
+                resolved.insert(id, *first.get());
             }
-            Opcode::Load => {
-                // The load's memory epoch is precomputed by the MemDep
-                // analysis; a conservative fallback is "any store".
-                let epoch = memdep.load_epoch(id).unwrap_or(memdep.num_stores());
-                let key = Key {
-                    op: inst.op,
-                    ty: inst.ty,
-                    args: inst.args.iter().map(|&a| resolve(&resolved, a)).collect(),
-                    attr: inst.attr.clone(),
-                    mem_epoch: epoch,
-                };
-                match table.get(&key) {
-                    Some(&first) => {
-                        resolved.insert(id, first);
-                        replace.push((id, first));
-                    }
-                    None => {
-                        table.insert(key, id);
-                    }
-                }
-            }
-            _ => {
-                let key = Key {
-                    op: inst.op,
-                    ty: inst.ty,
-                    args: inst.args.iter().map(|&a| resolve(&resolved, a)).collect(),
-                    attr: inst.attr.clone(),
-                    mem_epoch: 0,
-                };
-                match table.get(&key) {
-                    Some(&first) => {
-                        resolved.insert(id, first);
-                        replace.push((id, first));
-                    }
-                    None => {
-                        table.insert(key, id);
-                    }
-                }
+            Entry::Vacant(slot) => {
+                slot.insert(id);
             }
         }
     }
 
-    let merged = replace.len();
-    let mut dead = std::collections::HashSet::new();
-    for (dup, first) in replace {
-        f.replace_uses(dup, first);
-        dead.insert(dup);
-    }
-    f.remove_from_body(&dead);
-    merged
+    f.replace_uses_with(&resolved);
+    f.remove_from_body(&resolved.keys().copied().collect());
+    resolved.len()
 }
 
 /// CSE every function of a module; returns total merges.
@@ -197,5 +171,18 @@ mod tests {
         let l8 = b.load(Type::I64, g8);
         let _ = (l4, l8);
         assert_eq!(run(&mut f), 0, "different gep strides must not merge");
+    }
+
+    #[test]
+    fn merging_nothing_leaves_the_epoch_unchanged() {
+        let mut f = Function::new("t");
+        let x = f.add_param("x", Type::I64);
+        let p = f.add_param("P", Type::PTR);
+        let mut b = FunctionBuilder::new(&mut f);
+        let a = b.add(x, x);
+        b.store(a, p);
+        let e0 = f.epoch();
+        assert_eq!(run(&mut f), 0);
+        assert_eq!(f.epoch(), e0, "a no-op CSE run must not look like a mutation");
     }
 }

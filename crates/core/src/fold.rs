@@ -5,6 +5,8 @@
 //! [`crate::dce`] this forms the scalar `-O3`-style pipeline that precedes
 //! the vectorizer (see [`crate::pipeline`]).
 
+use std::collections::HashMap;
+
 use lslp_ir::{
     Constant, FloatPred, Function, InstAttr, IntPred, Module, Opcode, ScalarType, ValueId,
 };
@@ -187,29 +189,47 @@ fn fold_inst(f: &Function, id: ValueId) -> Option<Constant> {
     }
 }
 
+/// Rewrite `id`'s operands through `replaced`, the replacements found so
+/// far in the current sweep, so `id` is examined as if each had already
+/// been applied to every use. Instructions with no replaced operand are
+/// left untouched.
+pub(crate) fn resolve_operands(
+    f: &mut Function,
+    id: ValueId,
+    replaced: &HashMap<ValueId, ValueId>,
+) {
+    if !f.args_of(id).iter().any(|a| replaced.contains_key(a)) {
+        return;
+    }
+    let inst = f.inst_mut(id).expect("the body holds instructions");
+    for arg in &mut inst.args {
+        if let Some(&new) = replaced.get(arg) {
+            *arg = new;
+        }
+    }
+}
+
 /// Run constant folding to a fixed point; returns the number of
-/// instructions folded. Folded instructions are left in the body for
-/// [`crate::dce::run`] to sweep.
+/// instructions folded. Each sweep ends with one batched use rewrite, and
+/// the folded instructions leave the body then so repeated sweeps
+/// terminate; [`crate::dce::run`] sweeps any other dead code.
 pub fn run(f: &mut Function) -> usize {
     let mut folded = 0;
     loop {
-        let mut changed = false;
+        let mut replaced = HashMap::new();
         for id in f.body().to_vec() {
+            resolve_operands(f, id, &replaced);
             if let Some(c) = fold_inst(f, id) {
                 let k = f.constant(c);
-                f.replace_uses(id, k);
-                // Remove the now-unused instruction eagerly so repeated
-                // rounds terminate.
-                let mut dead = std::collections::HashSet::new();
-                dead.insert(id);
-                f.remove_from_body(&dead);
-                folded += 1;
-                changed = true;
+                replaced.insert(id, k);
             }
         }
-        if !changed {
+        if replaced.is_empty() {
             return folded;
         }
+        folded += replaced.len();
+        f.replace_uses_with(&replaced);
+        f.remove_from_body(&replaced.into_keys().collect());
     }
 }
 

@@ -21,7 +21,7 @@
 //! ends in a jump to the join — anything richer (nested control flow in an
 //! arm) is converted inside-out by the fixpoint loop below.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use lslp_ir::{BlockId, Function, InstAttr, Module, Opcode, Terminator, ValueId};
 
@@ -193,19 +193,24 @@ pub(crate) fn flatten_linear_cfg(f: &mut Function) -> bool {
             _ => return false, // br / loop / continue: still real control flow
         }
     }
-    // Substitute parameters and collect the linearised body.
+    // Substitute parameters and collect the linearised body. Each edge
+    // argument is resolved through the map first, since it may itself be a
+    // parameter of an earlier block in the chain; one batched rewrite then
+    // applies every substitution.
     let mut body = Vec::new();
+    let mut subst: HashMap<ValueId, ValueId> = HashMap::new();
     for &b in &chain {
         body.extend_from_slice(f.block(b).insts());
         if let Terminator::Jump { target, args } = f.block(b).term().clone() {
             let params = f.block(target).params().to_vec();
             debug_assert_eq!(params.len(), args.len(), "verified edge arity");
             for (p, a) in params.into_iter().zip(args) {
-                f.replace_uses(p, a);
+                subst.insert(p, crate::unroll::resolve(&subst, a));
             }
             f.set_block_params(target, Vec::new());
         }
     }
+    f.replace_uses_with(&subst);
     f.dissolve_cfg(body);
     true
 }

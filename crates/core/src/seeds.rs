@@ -74,17 +74,19 @@ pub fn collect_store_chains(f: &Function, addr: &AddrInfo) -> Vec<StoreChain> {
         }
         flush(&mut chains, &mut run, key.bytes);
     }
-    // Deterministic order: by first member's body position.
-    chains.sort_by_key(|c: &StoreChain| {
-        let pos = f.position_map();
-        c.stores.iter().map(|s| pos[s]).min().unwrap_or(usize::MAX)
-    });
-    chains
+    // Deterministic order: by first member's body position (chains are
+    // disjoint, so these positions are distinct).
+    chains.sort_by_key(|&(first, _)| first);
+    chains.into_iter().map(|(_, c)| c).collect()
 }
 
-fn flush(chains: &mut Vec<StoreChain>, run: &mut Vec<(usize, ValueId)>, elem_bytes: u32) {
+/// Close `run`: keep it as a chain, keyed by its earliest body position,
+/// when it holds at least two stores.
+fn flush(chains: &mut Vec<(usize, StoreChain)>, run: &mut Vec<(usize, ValueId)>, elem_bytes: u32) {
     if run.len() >= 2 {
-        chains.push(StoreChain { stores: run.iter().map(|&(_, id)| id).collect(), elem_bytes });
+        let first = run.iter().map(|&(pos, _)| pos).min().expect("run is non-empty");
+        let stores = run.iter().map(|&(_, id)| id).collect();
+        chains.push((first, StoreChain { stores, elem_bytes }));
     }
     run.clear();
 }

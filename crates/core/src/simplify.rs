@@ -6,7 +6,11 @@
 //! (mirroring LLVM's canonicalization, which the paper's kernels were
 //! subject to before reaching the SLP pass).
 
+use std::collections::HashMap;
+
 use lslp_ir::{Constant, Function, Module, Opcode, ValueId};
+
+use crate::fold::resolve_operands;
 
 /// What a simplification round did to one instruction.
 enum Action {
@@ -163,29 +167,22 @@ fn simplify_inst(f: &Function, id: ValueId, fast_math: bool) -> Option<Action> {
 }
 
 /// Run algebraic simplification to a fixed point; returns the number of
-/// rewrites performed. Dead instructions are left for [`crate::dce::run`].
+/// rewrites performed. Each sweep ends with one batched use rewrite, and
+/// the replaced instructions leave the body then; other dead instructions
+/// are left for [`crate::dce::run`].
 pub fn run(f: &mut Function, fast_math: bool) -> usize {
     let mut rewrites = 0;
     loop {
-        let mut changed = false;
+        let mut replaced = HashMap::new();
         for id in f.body().to_vec() {
+            resolve_operands(f, id, &replaced);
             match simplify_inst(f, id, fast_math) {
                 Some(Action::Replace(v)) => {
-                    f.replace_uses(id, v);
-                    let mut dead = std::collections::HashSet::new();
-                    dead.insert(id);
-                    f.remove_from_body(&dead);
-                    changed = true;
-                    rewrites += 1;
+                    replaced.insert(id, v);
                 }
                 Some(Action::ReplaceConst(c)) => {
                     let k = f.constant(c);
-                    f.replace_uses(id, k);
-                    let mut dead = std::collections::HashSet::new();
-                    dead.insert(id);
-                    f.remove_from_body(&dead);
-                    changed = true;
-                    rewrites += 1;
+                    replaced.insert(id, k);
                 }
                 Some(Action::SwapOperands) => {
                     let inst = f.inst_mut(id).expect("instruction");
@@ -193,14 +190,17 @@ pub fn run(f: &mut Function, fast_math: bool) -> usize {
                     rewrites += 1;
                     // Swapping is done at most once per instruction (the
                     // constant moves right and stays there), so it does not
-                    // prevent termination; no `changed` needed.
+                    // prevent termination and needs no further sweep.
                 }
                 None => {}
             }
         }
-        if !changed {
+        if replaced.is_empty() {
             return rewrites;
         }
+        rewrites += replaced.len();
+        f.replace_uses_with(&replaced);
+        f.remove_from_body(&replaced.into_keys().collect());
     }
 }
 

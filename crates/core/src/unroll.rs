@@ -56,8 +56,8 @@ fn scan_region(f: &Function, body: BlockId) -> Option<Region> {
     }
 }
 
-/// Resolve `v` through the clone map.
-fn resolve(map: &HashMap<ValueId, ValueId>, v: ValueId) -> ValueId {
+/// Resolve `v` through a substitution map (the identity for unmapped values).
+pub(crate) fn resolve(map: &HashMap<ValueId, ValueId>, v: ValueId) -> ValueId {
     *map.get(&v).unwrap_or(&v)
 }
 
@@ -148,9 +148,12 @@ fn unroll_at(f: &mut Function, header: BlockId, region: &Region) {
     // bypass the loop entirely.
     let exit_params = f.block(exit).params().to_vec();
     debug_assert_eq!(exit_params.len(), carried.len(), "verified exit arity");
-    for (p, v) in exit_params.into_iter().zip(&carried) {
-        f.replace_uses(p, *v);
+    let mut exit_map: HashMap<ValueId, ValueId> = HashMap::new();
+    for (p, v) in exit_params.into_iter().zip(carried) {
+        let r = resolve(&exit_map, v);
+        exit_map.insert(p, r);
     }
+    f.replace_uses_with(&exit_map);
     f.set_block_params(exit, Vec::new());
     // Empty the body blocks so their instructions are not duplicated
     // across blocks (the clones in the header are the program now).

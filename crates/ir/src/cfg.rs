@@ -18,6 +18,7 @@
 //! This is exactly the shape the unroll-and-SLP pass consumes, and it
 //! keeps verification and interpretation simple and total.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::value::ValueId;
@@ -134,12 +135,12 @@ impl Terminator {
     }
 
     /// Rewrite every value operand through `map` (used by
-    /// [`crate::Function::replace_uses`] on CFG functions). Returns `true`
-    /// when anything changed.
-    pub(crate) fn rewrite_operands(&mut self, old: ValueId, new: ValueId) -> bool {
+    /// [`crate::Function::replace_uses_with`] on CFG functions). Returns
+    /// `true` when anything changed.
+    pub(crate) fn rewrite_operands(&mut self, map: &HashMap<ValueId, ValueId>) -> bool {
         let mut changed = false;
         let mut fix = |v: &mut ValueId| {
-            if *v == old {
+            if let Some(&new) = map.get(v) {
                 *v = new;
                 changed = true;
             }
@@ -276,8 +277,9 @@ mod tests {
             else_to: BlockId::from_raw(2),
             else_args: vec![b, a],
         };
-        assert!(t.rewrite_operands(a, b));
+        let map = HashMap::from([(a, b)]);
+        assert!(t.rewrite_operands(&map));
         assert_eq!(t.value_operands(), vec![b, b, b, b, b]);
-        assert!(!t.rewrite_operands(a, b), "nothing left to rewrite");
+        assert!(!t.rewrite_operands(&map), "nothing left to rewrite");
     }
 }

@@ -194,6 +194,29 @@ pub struct Function {
     cfg: Option<Cfg>,
 }
 
+/// Rewrite `user`'s operands through `map`, logging its previous payload
+/// when `logging`. Untouched instructions are neither cloned nor logged.
+fn rewrite_args(
+    values: &mut [ValueData],
+    log: &mut Vec<Delta>,
+    logging: bool,
+    user: ValueId,
+    map: &HashMap<ValueId, ValueId>,
+) {
+    let ValueData::Inst(inst) = &mut values[user.index()] else { return };
+    if !inst.args.iter().any(|a| map.contains_key(a)) {
+        return;
+    }
+    if logging {
+        log.push(Delta::SetInst { v: user, old: inst.clone() });
+    }
+    for arg in &mut inst.args {
+        if let Some(&new) = map.get(arg) {
+            *arg = new;
+        }
+    }
+}
+
 impl Function {
     /// Create an empty function.
     pub fn new(name: impl Into<String>) -> Function {
@@ -639,61 +662,51 @@ impl Function {
 
     // ----- mutation -------------------------------------------------------
 
-    /// Replace every use of `old` with `new` in one instruction, logging
-    /// the previous payload when inside a transaction.
-    fn rewrite_user(&mut self, user: ValueId, old: ValueId, new: ValueId) {
-        let uses_old = matches!(
-            &self.values[user.index()],
-            ValueData::Inst(inst) if inst.args.contains(&old)
-        );
-        if !uses_old {
-            return;
-        }
-        if self.txn_depth > 0 {
-            if let ValueData::Inst(prev) = &self.values[user.index()] {
-                let prev = prev.clone();
-                self.log.push(Delta::SetInst { v: user, old: prev });
-            }
-        }
-        if let ValueData::Inst(inst) = &mut self.values[user.index()] {
-            for arg in &mut inst.args {
-                if *arg == old {
-                    *arg = new;
-                }
-            }
-        }
+    /// Replace every use of `old` with `new`: body instructions, and on CFG
+    /// functions also every block instruction and terminator operand. A
+    /// one-entry [`Function::replace_uses_with`]; each call sweeps the whole
+    /// function, so callers with many replacements batch them instead.
+    pub fn replace_uses(&mut self, old: ValueId, new: ValueId) {
+        self.replace_uses_with(&HashMap::from([(old, new)]));
     }
 
-    /// Replace every use of `old` with `new`: body instructions, and on CFG
-    /// functions also every block instruction and terminator operand.
-    pub fn replace_uses(&mut self, old: ValueId, new: ValueId) {
-        self.touch();
-        let body = self.body.clone();
-        for user in body {
-            self.rewrite_user(user, old, new);
+    /// Replace every use of each key of `map` with its value, in one sweep
+    /// over the body and, on CFG functions, every block's instructions and
+    /// terminator. The substitution is simultaneous: a value that is itself
+    /// a key is not looked up again. Inside a transaction each rewritten
+    /// instruction logs one `SetInst` and each rewritten terminator one
+    /// `CfgSetTerm`. An empty map is a no-op.
+    pub fn replace_uses_with(&mut self, map: &HashMap<ValueId, ValueId>) {
+        if map.is_empty() {
+            return;
         }
-        if self.cfg.is_some() {
-            let num_blocks = self.cfg.as_ref().expect("checked above").blocks.len();
-            for bi in 0..num_blocks {
-                let b = BlockId::from_raw(bi as u32);
-                let insts = self.cfg.as_ref().expect("checked above").blocks[bi].insts.clone();
-                for user in insts {
-                    self.rewrite_user(user, old, new);
-                }
-                let prev = self.cfg.as_ref().expect("checked above").blocks[bi].term.clone();
-                let mut term = prev.clone();
-                if term.rewrite_operands(old, new) {
-                    if self.txn_depth > 0 {
-                        self.log.push(Delta::CfgSetTerm { b, old: prev });
-                    }
-                    self.cfg.as_mut().expect("checked above").blocks[bi].term = term;
+        self.touch();
+        let Function { values, body, log, txn_depth, cfg, .. } = self;
+        let logging = *txn_depth > 0;
+        for &user in body.iter() {
+            rewrite_args(values, log, logging, user, map);
+        }
+        let Some(cfg) = cfg else { return };
+        for (bi, block) in cfg.blocks.iter_mut().enumerate() {
+            for &user in &block.insts {
+                rewrite_args(values, log, logging, user, map);
+            }
+            let mut term = block.term.clone();
+            if term.rewrite_operands(map) {
+                let old = std::mem::replace(&mut block.term, term);
+                if logging {
+                    log.push(Delta::CfgSetTerm { b: BlockId::from_raw(bi as u32), old });
                 }
             }
         }
     }
 
     /// Remove the given instructions from the body (they become orphans).
+    /// An empty set is a no-op.
     pub fn remove_from_body(&mut self, dead: &HashSet<ValueId>) {
+        if dead.is_empty() {
+            return;
+        }
         self.touch();
         if self.txn_depth > 0 {
             let old = self.body.clone();
@@ -982,6 +995,73 @@ mod tests {
         let zero = f.const_i64(0);
         f.replace_uses(add, zero);
         assert_eq!(f.args_of(mul), &[zero, zero]);
+    }
+
+    #[test]
+    fn replace_uses_with_rewrites_straight_line_operands() {
+        let mut f = Function::new("t");
+        let a = f.add_param("a", Type::I64);
+        let b = f.add_param("b", Type::I64);
+        let x = f.push(Opcode::Add, Type::I64, vec![a, b], InstAttr::None);
+        let y = f.push(Opcode::Add, Type::I64, vec![a, b], InstAttr::None);
+        let z = f.push(Opcode::Mul, Type::I64, vec![x, y], InstAttr::None);
+        let w = f.push(Opcode::Sub, Type::I64, vec![y, a], InstAttr::None);
+        // Simultaneous substitution: `a` becomes `b` and `b` becomes `a`.
+        f.replace_uses_with(&HashMap::from([(y, x), (a, b), (b, a)]));
+        assert_eq!(f.args_of(x), &[b, a]);
+        assert_eq!(f.args_of(z), &[x, x]);
+        assert_eq!(f.args_of(w), &[x, b]);
+        // The replaced instruction itself is left in place for DCE.
+        assert_eq!(f.body(), &[x, y, z, w]);
+    }
+
+    #[test]
+    fn replace_uses_with_rewrites_block_insts_and_terminators() {
+        use crate::cfg::Terminator;
+        let mut f = Function::new("cfg");
+        let a = f.add_param("A", Type::PTR);
+        let i = f.add_param("i", Type::I64);
+        let entry = f.init_cfg();
+        let join = f.add_block();
+        let m = f.add_block_param(join, Some("m".into()), Type::I64);
+        let c7 = f.const_i64(7);
+        let c9 = f.const_i64(9);
+        let s = f.push_in_block(entry, Opcode::Add, Type::I64, vec![i, c7], InstAttr::None);
+        f.set_term(entry, Terminator::Jump { target: join, args: vec![s] });
+        let g = f.push_in_block(join, Opcode::Gep, Type::PTR, vec![a, m], InstAttr::ElemBytes(8));
+        f.push_in_block(join, Opcode::Store, Type::Void, vec![m, g], InstAttr::None);
+        f.replace_uses_with(&HashMap::from([(c7, c9), (s, i), (m, c9)]));
+        assert_eq!(f.args_of(s), &[i, c9]);
+        assert_eq!(f.block(entry).term(), &Terminator::Jump { target: join, args: vec![i] });
+        assert_eq!(f.args_of(g), &[a, c9]);
+    }
+
+    #[test]
+    fn replace_uses_with_rolls_back_with_its_txn() {
+        let (mut f, add, mul) = sample();
+        let before = print_function(&f);
+        let e0 = f.epoch();
+        let mark = f.begin_txn();
+        let zero = f.const_i64(0);
+        let a = f.params()[0];
+        f.replace_uses_with(&HashMap::from([(add, zero), (a, zero)]));
+        assert_eq!(f.args_of(mul), &[zero, zero]);
+        assert_ne!(print_function(&f), before);
+        f.rollback_txn(mark);
+        assert_eq!(print_function(&f), before, "rollback must be bit-identical");
+        assert_eq!(f.epoch(), e0, "rollback restores the pre-txn epoch");
+    }
+
+    #[test]
+    fn empty_rewrites_and_removals_keep_the_epoch() {
+        let (mut f, _, _) = sample();
+        let e0 = f.epoch();
+        let mark = f.begin_txn();
+        f.replace_uses_with(&HashMap::new());
+        f.remove_from_body(&HashSet::new());
+        assert_eq!(f.epoch(), e0);
+        assert_eq!(f.delta_len(), 0, "nothing is logged");
+        f.commit_txn(mark);
     }
 
     #[test]
