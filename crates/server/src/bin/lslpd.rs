@@ -137,3 +137,95 @@ fn main() -> ExitCode {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lslp_server::chaos::ChaosConfig;
+
+    fn parse(args: &[&str]) -> Result<ServerConfig, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn zero_limits_are_rejected() {
+        for flag in ["--max-conns", "--pipeline-depth"] {
+            let err = parse(&[flag, "0"]).unwrap_err();
+            assert_eq!(err, format!("bad {flag}: must be at least 1"));
+        }
+    }
+
+    #[test]
+    fn missing_value_is_rejected() {
+        assert_eq!(parse(&["--workers"]).unwrap_err(), "--workers requires a value");
+        assert_eq!(
+            parse(&["--addr", "127.0.0.1:0", "--chaos"]).unwrap_err(),
+            "--chaos requires a value"
+        );
+    }
+
+    #[test]
+    fn unknown_option_is_rejected_with_usage() {
+        let err = parse(&["--frobnicate"]).unwrap_err();
+        assert!(err.starts_with("unknown option `--frobnicate`"), "{err}");
+        assert!(err.ends_with(USAGE), "{err}");
+    }
+
+    #[test]
+    fn bad_chaos_spec_is_rejected() {
+        let err = parse(&["--chaos", "panic=2"]).unwrap_err();
+        assert!(err.starts_with("bad --chaos: "), "{err}");
+        assert!(err.contains("outside [0, 1]"), "{err}");
+    }
+
+    #[test]
+    fn full_argv_round_trips_into_the_config() {
+        let cfg = parse(&[
+            "--addr",
+            "0.0.0.0:9000",
+            "--workers",
+            "3",
+            "--queue-cap",
+            "17",
+            "--cache-cap",
+            "99",
+            "--cache-shards",
+            "5",
+            "--time-budget-ms",
+            "250",
+            "--cache-dir",
+            "/var/cache/lslpd",
+            "--chaos",
+            "seed=7,panic=0.1,read-drop=0.05,write-drop=0.05,delay=5:0.1,corrupt=0.25",
+            "--max-conns",
+            "12",
+            "--pipeline-depth",
+            "8",
+        ])
+        .unwrap();
+        assert_eq!(cfg.addr, "0.0.0.0:9000");
+        assert_eq!(cfg.workers, 3);
+        assert_eq!(cfg.queue_capacity, 17);
+        assert_eq!(cfg.cache_capacity, 99);
+        assert_eq!(cfg.cache_shards, 5);
+        assert_eq!(cfg.default_time_budget_ms, 250);
+        assert_eq!(cfg.cache_dir.as_deref(), Some("/var/cache/lslpd"));
+        let chaos = ChaosConfig {
+            seed: 7,
+            worker_panic: 0.1,
+            read_drop: 0.05,
+            write_drop: 0.05,
+            delay_ms: 5,
+            delay_prob: 0.1,
+            corrupt_entry: 0.25,
+            ..ChaosConfig::default()
+        };
+        assert_eq!(cfg.chaos, Some(chaos));
+        assert_eq!(cfg.max_conns, 12);
+        assert_eq!(cfg.pipeline_depth, 8);
+        // Flags not given keep the library defaults.
+        assert_eq!(cfg.stall_after_ms, ServerConfig::default().stall_after_ms);
+        // With no flags the daemon binds its documented default address.
+        assert_eq!(parse(&[]).unwrap().addr, "127.0.0.1:7979");
+    }
+}

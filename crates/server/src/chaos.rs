@@ -246,8 +246,8 @@ mod tests {
 
     #[test]
     fn ci_seed_fires_a_panic_within_64_draws() {
-        // The chaos-smoke CI job asserts `worker-restarts > 0` after 64
-        // requests with this exact spec; that is only sound because the
+        // `crash_recovery.rs` asserts `worker-restarts > 0` after 64
+        // requests with this exact seed; that is only sound because the
         // schedule is deterministic and fires within the first 64 draws.
         let c = Chaos::new(ChaosConfig::parse("seed=7,panic=0.1").unwrap());
         let fired = (0..64).filter(|_| c.roll(Site::Panic, c.cfg.worker_panic)).count();

@@ -1,7 +1,7 @@
 //! A blocking `lslpd` client: one request line out, one response line in.
 //!
-//! Used by the connection [`Pool`](crate::Pool), the integration tests,
-//! and the `serve_throughput` load generator.
+//! Used by the connection [`Pool`](crate::Pool) and the integration
+//! tests.
 //!
 //! Two layers:
 //!
@@ -69,7 +69,9 @@ pub struct RetryPolicy {
     pub max_delay: Duration,
     /// Wall-clock budget for the whole operation, including backoff
     /// sleeps and the time spent waiting for responses (`None` = no
-    /// deadline). When set, it is also installed as the read timeout.
+    /// deadline). When set, each attempt's read timeout is the part of
+    /// the budget still left, and the client's own timeout is restored
+    /// when the operation ends.
     pub deadline: Option<Duration>,
     /// Jitter seed: backoff delays are deterministic per seed, so load
     /// tests with a fixed seed are reproducible.
@@ -285,71 +287,51 @@ impl Client {
     /// death after all retries is `response: None, gave_up: true`.
     pub fn retry_line(&mut self, line: &str, policy: &RetryPolicy) -> RetryOutcome {
         let started = Instant::now();
-        if policy.deadline.is_some() {
-            let _ = self.set_timeout(policy.deadline);
-        }
+        let prior_timeout = self.timeout;
         let mut attempts = 0u32;
         let mut reconnects = 0u32;
-        let mut last: Option<Response>;
-        loop {
-            attempts += 1;
-            match self.roundtrip(line) {
-                Ok(resp) => {
-                    let retry = retryable(&resp);
-                    last = Some(resp);
-                    if !retry {
-                        return RetryOutcome {
-                            response: last,
-                            attempts,
-                            reconnects,
-                            gave_up: false,
-                            elapsed: started.elapsed(),
-                        };
+        let mut last: Option<Response> = None;
+        let (response, gave_up) = loop {
+            if let Some(deadline) = policy.deadline {
+                // Each attempt may block only for what is left of the
+                // budget, so the whole operation ends within `deadline`.
+                match deadline.checked_sub(started.elapsed()).filter(|left| !left.is_zero()) {
+                    Some(left) => {
+                        let _ = self.set_timeout(Some(left));
                     }
+                    None if attempts > 0 => break (last, true),
+                    None => {}
                 }
-                Err(ClientError::Protocol(_)) => {
-                    // A garbled response is a bug, not load: don't retry.
-                    return RetryOutcome {
-                        response: None,
-                        attempts,
-                        reconnects,
-                        gave_up: true,
-                        elapsed: started.elapsed(),
-                    };
-                }
+            }
+            attempts += 1;
+            last = match self.roundtrip(line) {
+                Ok(resp) if !retryable(&resp) => break (Some(resp), false),
+                Ok(resp) => Some(resp),
+                // A garbled response is a bug, not load: don't retry.
+                Err(ClientError::Protocol(_)) => break (None, true),
                 Err(ClientError::Io(_)) => {
-                    last = None;
                     // The old stream is unusable either way; if the dial
                     // fails (daemon mid-restart) the next attempt's
                     // roundtrip fails fast and we back off again.
                     if self.reconnect().is_ok() {
                         reconnects += 1;
                     }
+                    None
                 }
-            }
+            };
             if attempts > policy.max_retries {
-                return RetryOutcome {
-                    response: last,
-                    attempts,
-                    reconnects,
-                    gave_up: true,
-                    elapsed: started.elapsed(),
-                };
+                break (last, true);
             }
             let delay = policy.backoff(attempts, attempts as u64);
-            if let Some(deadline) = policy.deadline {
-                if started.elapsed() + delay >= deadline {
-                    return RetryOutcome {
-                        response: last,
-                        attempts,
-                        reconnects,
-                        gave_up: true,
-                        elapsed: started.elapsed(),
-                    };
-                }
+            if policy.deadline.is_some_and(|deadline| started.elapsed() + delay >= deadline) {
+                break (last, true);
             }
             std::thread::sleep(delay);
+        };
+        if policy.deadline.is_some() {
+            let _ = self.set_timeout(prior_timeout);
         }
+        RetryOutcome { response, attempts, reconnects, gave_up, elapsed: started.elapsed() }
     }
 
     /// Submit a compile request.
@@ -417,5 +399,51 @@ impl Client {
     /// See [`Client::roundtrip`].
     pub fn shutdown(&mut self) -> Result<Response, ClientError> {
         self.roundtrip("SHUTDOWN")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn retry_deadline_bounds_the_whole_operation() {
+        // A scripted daemon: the first connection reads the request, stalls
+        // 200 ms and hangs up; the second reads the retry and never answers.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let script = std::thread::spawn(move || {
+            let read_request = |stream: &TcpStream| {
+                let mut line = String::new();
+                BufReader::new(stream).read_line(&mut line).unwrap();
+            };
+            let (first, _) = listener.accept().unwrap();
+            read_request(&first);
+            std::thread::sleep(Duration::from_millis(200));
+            drop(first);
+            let (second, _) = listener.accept().unwrap();
+            read_request(&second);
+            // Hold the connection open until the client hangs up.
+            let _ = BufReader::new(&second).read_line(&mut String::new());
+        });
+
+        let mut client = Client::connect(addr).unwrap();
+        client.set_timeout(Some(Duration::from_secs(7))).unwrap();
+        let policy =
+            RetryPolicy { deadline: Some(Duration::from_millis(300)), ..Default::default() };
+        let outcome = client.retry_line("PING", &policy);
+        assert!(outcome.gave_up && outcome.response.is_none(), "{outcome:?}");
+        assert_eq!(outcome.attempts, 2, "{outcome:?}");
+        assert!(
+            outcome.elapsed < Duration::from_millis(400),
+            "a 300 ms deadline ran to {:?}",
+            outcome.elapsed
+        );
+        let restored = client.reader.get_ref().read_timeout().unwrap();
+        assert_eq!(client.timeout, Some(Duration::from_secs(7)));
+        assert_eq!(restored, Some(Duration::from_secs(7)), "the caller's timeout is restored");
+        drop(client);
+        script.join().unwrap();
     }
 }

@@ -1,15 +1,18 @@
 //! End-to-end tests for the protocol-v4 pipelining path: one connection
 //! carrying many tagged in-flight `COMPILE`s (out-of-order completion,
 //! duplicate-tag rejection, FIFO preserved for untagged traffic), a
-//! mid-burst `SHUTDOWN` drain, and the pooled `compile_many` client.
+//! mid-burst `SHUTDOWN` drain, the pooled `compile_many` client under
+//! seeded faults, and the pipelined-over-serial throughput gate.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use lslp::{CompileOptions, Session};
+use lslp_server::chaos::ChaosConfig;
 use lslp_server::protocol::{CompileRequest, ErrorKind, Response};
-use lslp_server::{Client, Pool, PoolConfig, RetryPolicy, Server, ServerConfig};
+use lslp_server::{Client, Pool, PoolConfig, RetryOutcome, RetryPolicy, Server, ServerConfig};
 
 const SRC: &str = "kernel k(f64* A, f64* B, i64 i) {
     A[i+0] = B[i+0] * B[i+0];
@@ -378,5 +381,142 @@ fn pool_evicts_broken_and_reaps_idle_connections() {
 
     let mut ctl = Client::connect(addr).unwrap();
     ctl.shutdown().unwrap();
+    daemon.join().unwrap().unwrap();
+}
+
+/// A budget the guard never exhausts, so the daemon's output is the
+/// local compile's, byte for byte.
+const AMPLE_BUDGET_MS: u64 = 60_000;
+
+/// `count` distinct four-lane kernels, each as a request with an ample
+/// budget plus the payload a local compile of it produces.
+fn probe_requests(count: usize) -> Vec<(CompileRequest, String)> {
+    let opts = CompileOptions::preset("LSLP").time_budget_ms(AMPLE_BUDGET_MS).build().unwrap();
+    let mut session = Session::new(opts);
+    (0..count)
+        .map(|i| {
+            let mut src = format!("kernel probe{i}(f64* A, f64* B, i64 i) {{\n");
+            for l in 0..4 {
+                src.push_str(&format!("  A[i+{l}] = B[i+{l}] * B[i+{l}] + {i}.0;\n"));
+            }
+            src.push('}');
+            let payload = session.compile(&src).unwrap().ir();
+            (
+                CompileRequest { timeout_ms: Some(AMPLE_BUDGET_MS), ..CompileRequest::new(&src) },
+                payload,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn pooled_batch_under_seeded_chaos_settles_every_request() {
+    // The same fault schedule every run: worker panics, dropped reads and
+    // writes, delayed responses. Each request must settle as OK with the
+    // right bytes or as a typed ERR — never a corrupt payload, never a
+    // hang until the deadline.
+    let chaos = ChaosConfig {
+        seed: 11,
+        worker_panic: 0.05,
+        read_drop: 0.03,
+        write_drop: 0.03,
+        delay_ms: 5,
+        delay_prob: 0.1,
+        ..ChaosConfig::default()
+    };
+    let (addr, daemon) =
+        Server::spawn(ServerConfig { chaos: Some(chaos), ..test_config() }).unwrap();
+    let probes = probe_requests(32);
+    let mix: Vec<&(CompileRequest, String)> = (0..64).map(|i| &probes[i % probes.len()]).collect();
+    let reqs: Vec<CompileRequest> = mix.iter().map(|(req, _)| req.clone()).collect();
+    let pool = Pool::new(PoolConfig { max_size: 4, ..PoolConfig::new(addr.to_string()) });
+    let deadline = Duration::from_secs(60);
+    let policy =
+        RetryPolicy { max_retries: 10, deadline: Some(deadline), ..RetryPolicy::default() };
+
+    let outcomes = pool.compile_many(&reqs, 16, &policy);
+    assert_eq!(outcomes.len(), 64);
+    let mut typed_errors = 0;
+    for (i, (o, (_, payload))) in outcomes.iter().zip(&mix).enumerate() {
+        let r = o.response.as_ref().unwrap_or_else(|| panic!("request {i} got no response: {o:?}"));
+        if r.ok {
+            assert_eq!(&r.payload, payload, "request {i}: corrupt payload");
+        } else {
+            assert!(r.error.is_some(), "request {i}: untyped ERR {r:?}");
+            typed_errors += 1;
+        }
+        assert!(o.elapsed < deadline, "request {i} ran to its deadline: {o:?}");
+    }
+    assert!(typed_errors < 64, "chaos at these rates still lets work through");
+    let attempts: u32 = outcomes.iter().map(|o| o.attempts).sum();
+    assert!(attempts > 64, "the fault schedule fired: {attempts} attempts for 64 requests");
+
+    // The SHUTDOWN roundtrip itself may be severed; the drain still happens.
+    let mut ctl = Client::connect(addr).unwrap();
+    let _ = ctl.retry_line("SHUTDOWN", &policy);
+    daemon.join().unwrap().unwrap();
+}
+
+#[test]
+#[ignore = "timing gate: CI runs it in release"]
+fn pipelined_pool_is_three_times_serial_throughput() {
+    // 32 distinct small kernels served warm, so both modes measure request
+    // turnaround, not compilation or payload bandwidth. Each mode keeps the
+    // best of three passes: a single pass on a busy host measures the
+    // scheduler as much as the server.
+    const REQUESTS: usize = 8000;
+    const PASSES: usize = 3;
+    let (addr, daemon) = Server::spawn(test_config()).unwrap();
+    let probes = probe_requests(32);
+    let policy = RetryPolicy { deadline: Some(Duration::from_secs(60)), ..RetryPolicy::default() };
+    let mut client = Client::connect(addr).unwrap();
+    for (req, payload) in &probes {
+        let o = client.compile_with_retry(req, &policy);
+        assert_eq!(o.response.map(|r| r.payload), Some(payload.clone()), "priming");
+    }
+    let mix: Vec<&(CompileRequest, String)> =
+        (0..REQUESTS).map(|i| &probes[i % probes.len()]).collect();
+    let check = |outcomes: &[RetryOutcome]| {
+        for (i, (o, (_, payload))) in outcomes.iter().zip(&mix).enumerate() {
+            assert!(o.is_ok(), "request {i}: {o:?}");
+            assert_eq!(&o.response.as_ref().unwrap().payload, payload, "request {i}");
+        }
+    };
+
+    // Serial: one connection, one request in flight.
+    let serial = (0..PASSES)
+        .map(|_| {
+            let start = Instant::now();
+            let outcomes: Vec<_> =
+                mix.iter().map(|(req, _)| client.compile_with_retry(req, &policy)).collect();
+            let elapsed = start.elapsed();
+            check(&outcomes);
+            elapsed
+        })
+        .min()
+        .unwrap();
+
+    // Pipelined: a pool of 4 connections, 32 tagged requests in flight on each.
+    let reqs: Vec<CompileRequest> = mix.iter().map(|(req, _)| req.clone()).collect();
+    let pipelined = (0..PASSES)
+        .map(|_| {
+            let pool = Pool::new(PoolConfig { max_size: 4, ..PoolConfig::new(addr.to_string()) });
+            let start = Instant::now();
+            let outcomes = pool.compile_many(&reqs, 32, &policy);
+            let elapsed = start.elapsed();
+            check(&outcomes);
+            elapsed
+        })
+        .min()
+        .unwrap();
+
+    let speedup = serial.as_secs_f64() / pipelined.as_secs_f64();
+    println!(
+        "pipelined-over-serial throughput: {speedup:.2}x \
+         ({REQUESTS} requests: serial {serial:?}, pipelined {pipelined:?})"
+    );
+    assert!(speedup >= 3.0, "pipelined speedup {speedup:.2}x < 3.00x");
+
+    client.shutdown().unwrap();
     daemon.join().unwrap().unwrap();
 }

@@ -230,6 +230,8 @@ fn concurrent_clients_get_consistent_answers() {
                     let r = client.compile(&CompileRequest::new(&sources[k])).unwrap();
                     assert!(r.ok, "thread {t}: {r:?}");
                     assert_eq!(r.payload, expected[k], "thread {t} kernel {k} corrupted");
+                    // The warm pass is served from the cache, never recompiled.
+                    assert_eq!(r.field("cached"), Some("hit"), "thread {t} kernel {k}: {r:?}");
                 }
             });
         }
@@ -237,8 +239,8 @@ fn concurrent_clients_get_consistent_answers() {
 
     let mut client = Client::connect(addr).unwrap();
     client.set_timeout(Some(Duration::from_secs(30))).unwrap();
-    let stats = client.stats().unwrap();
-    assert!(stats.payload.contains("server - cache-hits"), "{}", stats.payload);
+    let stats = client.stats().unwrap().payload;
+    assert_eq!(server_row(&stats, "cache-hits"), 32, "8 threads x 4 warm requests:\n{stats}");
     client.shutdown().unwrap();
     daemon.join().unwrap().unwrap();
 }

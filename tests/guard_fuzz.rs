@@ -490,3 +490,60 @@ fn paranoid_oracle_raises_no_false_alarms() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Cost gate: delta rollback is cheaper than snapshot-clone
+// ---------------------------------------------------------------------------
+
+/// The bookkeeping of one guarded attempt, timed both ways on every suite
+/// kernel: `begin_txn`/mutate/`rollback_txn` against clone/mutate/restore.
+/// The mutation is an attempt's shape — a few new instructions plus a
+/// body rebuild, as codegen does.
+#[test]
+#[ignore = "timing gate: CI runs it in release"]
+fn delta_rollback_is_cheaper_than_snapshot_restore() {
+    use lslp_ir::{InstAttr, Opcode};
+    use std::time::Instant;
+
+    fn attempt(f: &mut lslp_ir::Function) {
+        let (a, b) = (f.body()[0], f.body()[f.body_len() / 2]);
+        for _ in 0..4 {
+            f.push(Opcode::Add, f.ty(a), vec![a, b], InstAttr::None);
+        }
+        f.rebuild_body(f.body().to_vec());
+    }
+    /// Median nanoseconds per attempt over 30 batches of 64.
+    fn median_ns(proto: &lslp_ir::Function, delta: bool) -> f64 {
+        let mut f = proto.clone();
+        let mut samples: Vec<f64> = (0..30)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..64 {
+                    if delta {
+                        let mark = f.begin_txn();
+                        attempt(&mut f);
+                        f.rollback_txn(mark);
+                    } else {
+                        let snapshot = f.clone();
+                        attempt(&mut f);
+                        f = snapshot;
+                    }
+                }
+                start.elapsed().as_nanos() as f64 / 64.0
+            })
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    }
+
+    let ratios: Vec<f64> = lslp_kernels::suite()
+        .iter()
+        .map(|k| {
+            let proto = k.compile();
+            median_ns(&proto, false) / median_ns(&proto, true)
+        })
+        .collect();
+    let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
+    println!("geomean attempt speedup (snapshot/delta): {geomean:.2}x");
+    assert!(geomean > 1.0, "delta rollback is no cheaper than snapshot-clone ({geomean:.3}x)");
+}
