@@ -6,9 +6,9 @@
 //! constant offsets differ by exactly the access size — the check the SLP
 //! seed collection and load grouping rely on.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use lslp_ir::{Function, Opcode, ValueId};
+use lslp_ir::{Edit, Function, Opcode, PositionMap, UseMap, ValueId};
 
 /// A linear integer expression `Σ coeffᵢ·varᵢ + konst` with opaque variables.
 ///
@@ -120,7 +120,7 @@ impl MemLoc {
 ///
 /// Snapshot semantics: positions and addresses reflect the function at
 /// [`AddrInfo::analyze`] time.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AddrInfo {
     locs: HashMap<ValueId, MemLoc>,
 }
@@ -182,20 +182,77 @@ fn pointer_addr(f: &Function, ptr: ValueId, depth: u32) -> AddrExpr {
     }
 }
 
+/// The location a body instruction accesses, if it is a load or store.
+fn access(f: &Function, v: ValueId) -> Option<MemLoc> {
+    let inst = f.inst(v)?;
+    let (ptr, ty) = match inst.op {
+        Opcode::Load => (inst.args[0], inst.ty),
+        Opcode::Store => (inst.args[1], f.ty(inst.args[0])),
+        _ => return None,
+    };
+    Some(MemLoc { addr: pointer_addr(f, ptr, MAX_DEPTH), bytes: ty.bytes() })
+}
+
+/// Whether a user of a value can carry it into an address: the opcodes
+/// [`linearize`] and [`pointer_addr`] walk through.
+fn carries_address(op: Opcode) -> bool {
+    matches!(op, Opcode::Add | Opcode::Sub | Opcode::Mul | Opcode::Shl | Opcode::Gep)
+}
+
 impl AddrInfo {
     /// Analyze every load and store of the function body.
     pub fn analyze(f: &Function) -> AddrInfo {
-        let mut locs = HashMap::new();
-        for (_, id, inst) in f.iter_body() {
-            let (ptr, ty) = match inst.op {
-                Opcode::Load => (inst.args[0], inst.ty),
-                Opcode::Store => (inst.args[1], f.ty(inst.args[0])),
-                _ => continue,
-            };
-            let addr = pointer_addr(f, ptr, MAX_DEPTH);
-            locs.insert(id, MemLoc { addr, bytes: ty.bytes() });
-        }
+        let locs = f.body().iter().filter_map(|&v| Some((v, access(f, v)?))).collect();
         AddrInfo { locs }
+    }
+
+    /// Bring the analysis up to date with `edits`, made to `f` since it
+    /// was computed; `positions` and `uses` must already describe `f` as
+    /// it is now. Inserted and removed accesses are added and dropped; a
+    /// rewritten instruction re-analyzes every access its value reaches
+    /// through address arithmetic (found through `uses`). Costs O(edits
+    /// plus the address users of rewritten values).
+    pub fn apply(
+        &mut self,
+        f: &Function,
+        edits: &[Edit<'_>],
+        positions: &PositionMap,
+        uses: &UseMap,
+    ) {
+        let mut stale: Vec<ValueId> = Vec::new();
+        let mut seen: HashSet<ValueId> = HashSet::new();
+        for edit in edits {
+            match *edit {
+                Edit::Insert { v, .. } | Edit::Remove { v } => stale.push(v),
+                Edit::Rewrite { v, .. } => {
+                    // Every access downstream of `v`'s value, and `v`.
+                    let mut work = vec![v];
+                    while let Some(x) = work.pop() {
+                        if !seen.insert(x) {
+                            continue;
+                        }
+                        stale.push(x);
+                        for u in uses.uses(x) {
+                            if f.opcode(u.user).is_some_and(carries_address) {
+                                work.push(u.user);
+                            } else {
+                                stale.push(u.user);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        for v in stale {
+            match positions.contains(v).then(|| access(f, v)).flatten() {
+                Some(loc) => {
+                    self.locs.insert(v, loc);
+                }
+                None => {
+                    self.locs.remove(&v);
+                }
+            }
+        }
     }
 
     /// The analyzed location of a load/store, if `v` is one.

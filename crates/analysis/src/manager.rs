@@ -13,19 +13,24 @@
 //! declare them through [`PreservedAnalyses`]; [`AnalysisManager::
 //! mark_preserved`] then re-keys the surviving entries to the new epoch
 //! instead of recomputing them.
+//!
+//! Inside a transaction the manager also keeps a [`LogCursor`] into the
+//! function's delta log. When the epoch has moved, the positions, the use
+//! map and the address analysis catch up by replaying the edits since the
+//! cursor — O(edits), so a vectorizer commit no longer costs a whole-body
+//! recomputation. Only when the log cannot be replayed (no transaction, a
+//! rollback below the cursor, a whole-body or CFG edit, or more edits than
+//! a recomputation would cost) are the entries dropped and recomputed.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use lslp_ir::{Function, UseMap, ValueId};
+use lslp_ir::{Function, LogCursor, UseMap};
 
 use crate::addr::AddrInfo;
 use crate::memdep::MemDep;
 
-/// Map from each body instruction to its position (cached analysis form of
-/// [`lslp_ir::Function::position_map`]).
-pub type PositionMap = HashMap<ValueId, usize>;
+pub use lslp_ir::PositionMap;
 
 /// The analyses the manager knows how to compute and cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -114,6 +119,9 @@ pub struct CacheStats {
     /// Times cached entries were dropped because the function's epoch
     /// moved without a preservation claim.
     pub invalidations: u64,
+    /// Times a cached entry was brought up to date from the delta log
+    /// instead of being dropped; queries it then answers count as hits.
+    pub updates: u64,
 }
 
 impl CacheStats {
@@ -121,6 +129,7 @@ impl CacheStats {
         self.hits += other.hits;
         self.misses += other.misses;
         self.invalidations += other.invalidations;
+        self.updates += other.updates;
     }
 }
 
@@ -144,6 +153,9 @@ impl CacheStats {
 pub struct AnalysisManager {
     /// Epoch the cached entries were computed at (`None` = empty cache).
     epoch: Option<u64>,
+    /// The delta-log position of that state, when it was seen inside a
+    /// transaction.
+    cursor: Option<LogCursor>,
     addr: Option<Rc<AddrInfo>>,
     positions: Option<Rc<PositionMap>>,
     uses: Option<Rc<UseMap>>,
@@ -190,6 +202,7 @@ impl AnalysisManager {
             self.total.invalidations += 1;
         }
         self.epoch = None;
+        self.cursor = None;
         self.addr = None;
         self.positions = None;
         self.uses = None;
@@ -227,14 +240,71 @@ impl AnalysisManager {
             self.total.invalidations += 1;
         }
         self.epoch = Some(f.epoch());
+        self.cursor = f.log_cursor();
     }
 
-    /// Invalidate stale entries if `f` moved past the cached epoch.
+    /// Bring the entries up to `f`'s epoch: replay the delta log since the
+    /// cursor when possible, else drop them.
     fn refresh(&mut self, f: &Function) {
-        if self.epoch != Some(f.epoch()) {
-            self.invalidate_all();
-            self.epoch = Some(f.epoch());
+        if self.epoch == Some(f.epoch()) {
+            if self.cursor.is_none() {
+                self.cursor = f.log_cursor();
+            }
+            return;
         }
+        let start = Instant::now();
+        if self.catch_up(f) {
+            self.analysis_time += start.elapsed();
+        } else {
+            self.invalidate_all();
+        }
+        self.epoch = Some(f.epoch());
+        self.cursor = f.log_cursor();
+    }
+
+    /// Replay the edits since the cursor into the positions, uses and
+    /// address analysis (each update needs the ones before it, so an entry
+    /// whose inputs are not cached is dropped). Returns `false` when the
+    /// log cannot be replayed or is longer than a recomputation is worth.
+    fn catch_up(&mut self, f: &Function) -> bool {
+        let Some(edits) = self.cursor.and_then(|c| f.edits_since(c)) else { return false };
+        if edits.len() > f.body_len() / 4 {
+            return false;
+        }
+        self.memdep = None;
+        let Some(positions) = self.positions.as_mut() else {
+            self.uses = None;
+            self.addr = None;
+            return true;
+        };
+        let mut updated = vec![AnalysisKind::Positions];
+        let renumbered = !Rc::make_mut(positions).apply(&edits);
+        if renumbered {
+            // A gap ran out: number the body afresh (one pass writing keys).
+            *positions = Rc::new(f.position_map());
+        }
+        match self.uses.as_mut() {
+            Some(uses) => {
+                Rc::make_mut(uses).apply(f, &edits, positions);
+                updated.push(AnalysisKind::Uses);
+            }
+            None => self.addr = None,
+        }
+        if let (Some(addr), Some(uses)) = (self.addr.as_mut(), self.uses.as_ref()) {
+            Rc::make_mut(addr).apply(f, &edits, positions, uses);
+            updated.push(AnalysisKind::Addr);
+        }
+        for kind in updated {
+            let stats = if renumbered && kind == AnalysisKind::Positions {
+                [&mut self.total.misses, &mut self.per_kind[kind.index()].misses]
+            } else {
+                [&mut self.total.updates, &mut self.per_kind[kind.index()].updates]
+            };
+            for n in stats {
+                *n += 1;
+            }
+        }
+        true
     }
 
     /// The address analysis for the current state of `f`.
@@ -338,7 +408,10 @@ mod tests {
         assert!(Rc::ptr_eq(&a1, &a2));
         assert!(Rc::ptr_eq(&p1, &p2));
         assert!(Rc::ptr_eq(&u1, &u2));
-        assert_eq!(am.cache_stats(), CacheStats { hits: 3, misses: 3, invalidations: 0 });
+        assert_eq!(
+            am.cache_stats(),
+            CacheStats { hits: 3, misses: 3, invalidations: 0, updates: 0 }
+        );
         assert_eq!(am.cache_stats_for(AnalysisKind::Addr).hits, 1);
     }
 

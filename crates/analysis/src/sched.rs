@@ -14,7 +14,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use lslp_ir::{Function, Opcode, ValueId};
+use lslp_ir::{Function, Opcode, PositionMap, ValueId};
 
 use crate::addr::AddrInfo;
 use crate::alias::may_alias;
@@ -69,21 +69,38 @@ fn ssa_independent(f: &Function, bundle: &[ValueId]) -> bool {
     true
 }
 
+/// The body index of the bundle member with the extreme key (`last`:
+/// latest, else earliest), and every member's body index.
+fn member_indices(
+    body: &[ValueId],
+    positions: &PositionMap,
+    bundle: &[ValueId],
+    last: bool,
+) -> (usize, Vec<usize>) {
+    let idx: Vec<usize> = bundle
+        .iter()
+        .map(|&v| positions.index_in(body, v).expect("bundle members are in the body"))
+        .collect();
+    let end = if last { idx.iter().max() } else { idx.iter().min() };
+    (*end.expect("bundle is non-empty"), idx)
+}
+
 /// Test whether a bundle of body instructions can be scheduled as one vector
 /// instruction at the position of its last member (members conceptually
 /// *sink* down to that point).
 ///
-/// `positions` must be the current [`Function::position_map`]; every bundle
-/// member must be present in it.
+/// `positions` must be the order keys of the current body
+/// ([`Function::position_map`]). Members outside the body make the bundle
+/// unschedulable.
 pub fn bundle_schedulable(
     f: &Function,
-    positions: &HashMap<ValueId, usize>,
+    positions: &PositionMap,
     addr: &AddrInfo,
     bundle: &[ValueId],
 ) -> bool {
     debug_assert!(!bundle.is_empty());
     // All members must be in the body.
-    if bundle.iter().any(|v| !positions.contains_key(v)) {
+    if bundle.iter().any(|&v| !positions.contains(v)) {
         return false;
     }
     // 1. No intra-bundle SSA dependence.
@@ -92,14 +109,14 @@ pub fn bundle_schedulable(
     }
     // 2. Memory legality when sinking members down to the bundle's last
     //    position.
-    let last_pos = bundle.iter().map(|v| positions[v]).max().unwrap();
+    let body = f.body();
+    let (last_pos, idx) = member_indices(body, positions, bundle, true);
     let in_bundle: HashSet<ValueId> = bundle.iter().copied().collect();
-    for &m in bundle {
+    for (&m, &from) in bundle.iter().zip(&idx) {
         if !f.opcode(m).is_some_and(Opcode::is_memory) {
             continue;
         }
-        let from = positions[&m];
-        for x in &f.body()[from + 1..=last_pos] {
+        for x in &body[from + 1..=last_pos] {
             if in_bundle.contains(x) {
                 continue;
             }
@@ -122,12 +139,12 @@ pub fn bundle_schedulable(
 /// load of `A[i+1]` hoists above the lane-0 store to `A[i]`.
 pub fn bundle_hoistable(
     f: &Function,
-    positions: &HashMap<ValueId, usize>,
+    positions: &PositionMap,
     addr: &AddrInfo,
     bundle: &[ValueId],
 ) -> bool {
     debug_assert!(!bundle.is_empty());
-    if bundle.iter().any(|v| !positions.contains_key(v)) {
+    if bundle.iter().any(|&v| !positions.contains(v)) {
         return false;
     }
     if bundle.iter().any(|&v| f.opcode(v) != Some(Opcode::Load)) {
@@ -136,20 +153,21 @@ pub fn bundle_hoistable(
     if !ssa_independent(f, bundle) {
         return false;
     }
-    let first_pos = bundle.iter().map(|v| positions[v]).min().unwrap();
+    let body = f.body();
+    let (first_pos, idx) = member_indices(body, positions, bundle, false);
     // The emitted vector load takes lane 0's pointer operand, so that
     // pointer must already be defined at the hoist point. When the seed
     // group was written in reverse address order, lane 0's member (lowest
     // address) can sit *later* in the body than the first member — its
     // address computation would not dominate the hoisted load.
     let lane0_ptr = f.args_of(bundle[0])[0];
-    if f.is_inst(lane0_ptr) && positions.get(&lane0_ptr).is_none_or(|&p| p >= first_pos) {
+    let first_key = positions.key(body[first_pos]).expect("members are keyed");
+    if f.is_inst(lane0_ptr) && positions.key(lane0_ptr).is_none_or(|p| p >= first_key) {
         return false;
     }
     let in_bundle: HashSet<ValueId> = bundle.iter().copied().collect();
-    for &m in bundle {
-        let to = positions[&m];
-        for x in &f.body()[first_pos..to] {
+    for (&m, &to) in bundle.iter().zip(&idx) {
+        for x in &body[first_pos..to] {
             if in_bundle.contains(x) {
                 continue;
             }
@@ -166,7 +184,7 @@ mod tests {
     use super::*;
     use lslp_ir::{FunctionBuilder, Type};
 
-    fn pos(f: &Function) -> HashMap<ValueId, usize> {
+    fn pos(f: &Function) -> PositionMap {
         f.position_map()
     }
 
@@ -351,7 +369,7 @@ mod tests {
         f.remove_from_body(&dead);
         let ai = AddrInfo::analyze(&f);
         // Stale positions map would still contain s2; fresh one must not.
-        assert!(positions_before.contains_key(&s2));
+        assert!(positions_before.contains(s2));
         assert!(!bundle_schedulable(&f, &pos(&f), &ai, &[s1, s2]));
     }
 }

@@ -12,6 +12,11 @@
 //! the vector code is inserted *alongside* the scalar code, uses migrate
 //! only where the vector value dominates them, and DCE reclaims whatever
 //! became unreachable.
+//!
+//! New instructions are created outside the body and spliced in after
+//! their anchor (the member whose position they take) one by one, and the
+//! seed stores are removed one by one, so a tree's commit edits and logs
+//! only its own instructions: O(tree), not O(body).
 
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -40,29 +45,31 @@ struct Codegen<'a> {
     positions: Rc<PositionMap>,
     /// Original uses snapshot (before any new instruction was pushed).
     uses: Rc<lslp_ir::UseMap>,
-    /// New instructions to splice in *after* the original body index.
-    queued: HashMap<usize, Vec<ValueId>>,
+    /// New instructions to splice in right after each anchor, an original
+    /// body instruction.
+    queued: HashMap<ValueId, Vec<ValueId>>,
     vec_vals: HashMap<NodeId, ValueId>,
-    emit_pos: HashMap<NodeId, usize>,
+    /// The anchor each emitted node was placed after.
+    emit_pos: HashMap<NodeId, ValueId>,
     dead_stores: HashSet<ValueId>,
     stats: CodegenStats,
 }
 
 impl<'a> Codegen<'a> {
-    fn queue(&mut self, at: usize, inst: ValueId) {
+    fn queue(&mut self, at: ValueId, inst: ValueId) {
         self.queued.entry(at).or_default().push(inst);
     }
 
-    fn member_pos(&self, node: NodeId) -> (usize, usize) {
+    fn key(&self, v: ValueId) -> u64 {
+        self.positions.key(v).expect("graph members are in the body")
+    }
+
+    /// The node's first and last members in body order.
+    fn member_pos(&self, node: NodeId) -> (ValueId, ValueId) {
         let scalars = &self.graph.node(node).scalars;
-        let mut lo = usize::MAX;
-        let mut hi = 0;
-        for s in scalars {
-            let p = self.positions[s];
-            lo = lo.min(p);
-            hi = hi.max(p);
-        }
-        (lo, hi)
+        let first = *scalars.iter().min_by_key(|&&s| self.key(s)).expect("nodes have lanes");
+        let last = *scalars.iter().max_by_key(|&&s| self.key(s)).expect("nodes have lanes");
+        (first, last)
     }
 
     fn vec_ty(&self, node: NodeId) -> Type {
@@ -76,9 +83,9 @@ impl<'a> Codegen<'a> {
     }
 
     /// Emit the vector value of `node`, and everything it depends on.
-    /// `gather_at` is the body position to use if this node is a gather
-    /// (gathers have no position of their own).
-    fn emit(&mut self, node: NodeId, gather_at: usize) -> ValueId {
+    /// `gather_at` is the anchor of the node's user (a gather must be
+    /// placed before it).
+    fn emit(&mut self, node: NodeId, gather_at: ValueId) -> ValueId {
         if let Some(&v) = self.vec_vals.get(&node) {
             return v;
         }
@@ -94,7 +101,7 @@ impl<'a> Codegen<'a> {
                 };
                 let ty = self.vec_ty(node);
                 let ptr = self.f.args_of(scalars[0])[0];
-                let v = self.f.push(Opcode::Load, ty, vec![ptr], InstAttr::None);
+                let v = self.f.create(Opcode::Load, ty, vec![ptr], InstAttr::None);
                 self.stats.vector_insts += 1;
                 self.queue(at, v);
                 self.emit_pos.insert(node, at);
@@ -117,7 +124,7 @@ impl<'a> Codegen<'a> {
                         let chunk = max.min(n_lanes - start);
                         let mask: Vec<u32> = (start..start + chunk).map(|l| l as u32).collect();
                         let chunk_ty = Type::Scalar(elem).with_lanes(chunk as u32);
-                        let part = self.f.push(
+                        let part = self.f.create(
                             Opcode::ShuffleVector,
                             chunk_ty,
                             vec![val, val],
@@ -125,8 +132,12 @@ impl<'a> Codegen<'a> {
                         );
                         self.queue(hi, part);
                         let ptr = self.f.args_of(scalars[start])[1];
-                        last =
-                            self.f.push(Opcode::Store, Type::Void, vec![part, ptr], InstAttr::None);
+                        last = self.f.create(
+                            Opcode::Store,
+                            Type::Void,
+                            vec![part, ptr],
+                            InstAttr::None,
+                        );
                         self.queue(hi, last);
                         self.stats.vector_insts += 2;
                         start += chunk;
@@ -134,7 +145,8 @@ impl<'a> Codegen<'a> {
                     last
                 } else {
                     let ptr = self.f.args_of(scalars[0])[1];
-                    let v = self.f.push(Opcode::Store, Type::Void, vec![val, ptr], InstAttr::None);
+                    let v =
+                        self.f.create(Opcode::Store, Type::Void, vec![val, ptr], InstAttr::None);
                     self.stats.vector_insts += 1;
                     self.queue(hi, v);
                     v
@@ -152,7 +164,7 @@ impl<'a> Codegen<'a> {
                 let args: Vec<ValueId> = children.iter().map(|&c| self.emit(c, hi)).collect();
                 let ty = self.vec_ty(node);
                 let attr = self.f.inst(scalars[0]).expect("member").attr.clone();
-                let v = self.f.push(op, ty, args, attr);
+                let v = self.f.create(op, ty, args, attr);
                 self.stats.vector_insts += 1;
                 self.queue(hi, v);
                 self.emit_pos.insert(node, hi);
@@ -164,11 +176,11 @@ impl<'a> Codegen<'a> {
                 let cols: Vec<ValueId> = children.iter().map(|&c| self.emit(c, hi)).collect();
                 let ty = self.vec_ty(node);
                 // Re-associate: fold all frontier columns left-to-right.
-                let mut acc = self.f.push(op, ty, vec![cols[0], cols[1]], InstAttr::None);
+                let mut acc = self.f.create(op, ty, vec![cols[0], cols[1]], InstAttr::None);
                 self.stats.vector_insts += 1;
                 self.queue(hi, acc);
                 for &c in &cols[2..] {
-                    acc = self.f.push(op, ty, vec![acc, c], InstAttr::None);
+                    acc = self.f.create(op, ty, vec![acc, c], InstAttr::None);
                     self.stats.vector_insts += 1;
                     self.queue(hi, acc);
                 }
@@ -185,10 +197,13 @@ impl<'a> Codegen<'a> {
                 let at = scalars
                     .iter()
                     .filter(|&&s| self.f.is_inst(s))
-                    .filter_map(|s| self.positions.get(s).copied())
+                    .filter_map(|&s| Some((self.positions.key(s)?, s)))
                     .max()
-                    .unwrap_or(0);
-                debug_assert!(at <= gather_at, "gather member must dominate its users");
+                    .map_or(self.f.body()[0], |(_, s)| s);
+                debug_assert!(
+                    self.key(at) <= self.key(gather_at),
+                    "gather member must dominate its users"
+                );
                 let v = self.emit_gather(&scalars, lanes, at);
                 self.emit_pos.insert(node, at);
                 v
@@ -198,7 +213,7 @@ impl<'a> Codegen<'a> {
         val
     }
 
-    fn emit_gather(&mut self, scalars: &[ValueId], lanes: u32, at: usize) -> ValueId {
+    fn emit_gather(&mut self, scalars: &[ValueId], lanes: u32, at: ValueId) -> ValueId {
         let elem = self.f.ty(scalars[0]).elem().expect("gather lanes have data types");
         // Base constant vector: constant lanes in place, zeros elsewhere.
         let base_lanes: Vec<Constant> = scalars
@@ -224,7 +239,7 @@ impl<'a> Codegen<'a> {
         if splat {
             // One insert plus a zero-lane broadcast shuffle.
             let lane0 = self.f.const_i64(0);
-            cur = self.f.push(
+            cur = self.f.create(
                 Opcode::InsertElement,
                 ty,
                 vec![cur, non_const[0].1, lane0],
@@ -232,13 +247,13 @@ impl<'a> Codegen<'a> {
             );
             self.queue(at, cur);
             let mask = vec![0u32; lanes as usize];
-            cur = self.f.push(Opcode::ShuffleVector, ty, vec![cur, cur], InstAttr::Mask(mask));
+            cur = self.f.create(Opcode::ShuffleVector, ty, vec![cur, cur], InstAttr::Mask(mask));
             self.queue(at, cur);
             self.stats.vector_insts += 2;
         } else {
             for (lane, s) in non_const {
                 let idx = self.f.const_i64(lane as i64);
-                cur = self.f.push(Opcode::InsertElement, ty, vec![cur, s, idx], InstAttr::None);
+                cur = self.f.create(Opcode::InsertElement, ty, vec![cur, s, idx], InstAttr::None);
                 self.queue(at, cur);
                 self.stats.vector_insts += 1;
             }
@@ -257,6 +272,7 @@ impl<'a> Codegen<'a> {
             }
             let Some(&node_pos) = self.emit_pos.get(&node_id) else { continue };
             let Some(&vec_val) = self.vec_vals.get(&node_id) else { continue };
+            let node_key = self.key(node_pos);
             for (lane, &s) in node.scalars.iter().enumerate() {
                 if self.f.ty(s).is_void() {
                     continue;
@@ -266,7 +282,7 @@ impl<'a> Codegen<'a> {
                     .uses(s)
                     .iter()
                     .filter(|u| !self.graph.contains(u.user))
-                    .filter(|u| self.positions.get(&u.user).is_some_and(|&p| p > node_pos))
+                    .filter(|u| self.positions.key(u.user).is_some_and(|p| p > node_key))
                     .copied()
                     .collect();
                 if uses.is_empty() {
@@ -275,7 +291,7 @@ impl<'a> Codegen<'a> {
                 let ext = *per_scalar_extract.entry(s).or_insert_with(|| {
                     let elem = self.f.ty(s);
                     let idx = self.f.const_i64(lane as i64);
-                    let e = self.f.push(
+                    let e = self.f.create(
                         Opcode::ExtractElement,
                         elem,
                         vec![vec_val, idx],
@@ -294,20 +310,29 @@ impl<'a> Codegen<'a> {
         }
     }
 
+    /// Place the queued instructions after their anchors and remove the
+    /// seed stores, one logged edit each. Anchors are visited from the
+    /// back of the body, so each edit leaves the indices of the anchors
+    /// still to come unchanged.
     fn splice(&mut self) {
-        // Everything past the original body length was pushed by this run.
-        let orig: Vec<ValueId> = self.f.body()[..self.positions.len()].to_vec();
-        let mut new_body = Vec::with_capacity(self.f.body_len());
-        for (p, v) in orig.iter().enumerate() {
-            if !self.dead_stores.contains(v) {
-                new_body.push(*v);
+        let body = self.f.body();
+        let mut anchors: Vec<(usize, ValueId)> = self
+            .queued
+            .keys()
+            .chain(&self.dead_stores)
+            .map(|&v| (self.positions.index_in(body, v).expect("anchors are in the body"), v))
+            .collect();
+        anchors.sort_unstable();
+        anchors.dedup();
+        for &(at, anchor) in anchors.iter().rev() {
+            for (k, inst) in self.queued.remove(&anchor).unwrap_or_default().into_iter().enumerate()
+            {
+                self.f.insert_value(at + 1 + k, inst);
             }
-            if let Some(q) = self.queued.remove(&p) {
-                new_body.extend(q);
+            if self.dead_stores.contains(&anchor) {
+                self.f.remove_at(at);
             }
         }
-        debug_assert!(self.queued.is_empty(), "queued instructions out of range");
-        self.f.rebuild_body(new_body);
     }
 }
 

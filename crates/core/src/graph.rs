@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use lslp_analysis::{bundle_hoistable, bundle_schedulable, AddrInfo};
-use lslp_ir::{Function, Opcode, UseMap, ValueId};
+use lslp_ir::{Function, Opcode, PositionMap, UseMap, ValueId};
 use lslp_target::TargetSpec;
 
 use crate::config::VectorizerConfig;
@@ -258,7 +258,7 @@ pub struct GraphBuilder<'a> {
     cfg: &'a VectorizerConfig,
     tm: &'a TargetSpec,
     addr: &'a AddrInfo,
-    positions: &'a HashMap<ValueId, usize>,
+    positions: &'a PositionMap,
     use_map: &'a UseMap,
     nodes: Vec<Node>,
     in_tree: HashMap<ValueId, NodeId>,
@@ -273,7 +273,7 @@ impl<'a> GraphBuilder<'a> {
         cfg: &'a VectorizerConfig,
         tm: &'a TargetSpec,
         addr: &'a AddrInfo,
-        positions: &'a HashMap<ValueId, usize>,
+        positions: &'a PositionMap,
         use_map: &'a UseMap,
     ) -> GraphBuilder<'a> {
         GraphBuilder {

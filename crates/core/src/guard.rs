@@ -48,6 +48,7 @@ use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
+use lslp_analysis::AnalysisManager;
 use lslp_interp::{run_function, Memory, Value};
 use lslp_ir::{Function, ScalarType, TxnMark, Type};
 
@@ -346,13 +347,29 @@ impl GuardInstrumentation {
     /// so it describes the pre-transform state).
     ///
     /// Commits under [`RollbackStrategy::Delta`] verify incrementally:
-    /// only instructions whose payload (or operand payload) the
-    /// transaction touched get the full per-opcode type check.
+    /// only the instructions the transaction touched and their users are
+    /// checked, against positions and uses computed afresh (see
+    /// [`GuardInstrumentation::after_pass_in`] to take them from a cache).
     pub fn after_pass(
         &mut self,
         pass: &str,
         seed: Option<SeedDesc>,
         f: &mut Function,
+        outcome: Result<bool, Box<dyn Any + Send>>,
+    ) -> Option<Incident> {
+        self.after_pass_in(pass, seed, f, &mut AnalysisManager::new(), outcome)
+    }
+
+    /// [`GuardInstrumentation::after_pass`], reading the positions and
+    /// uses an incremental verification needs from `am`, which brings its
+    /// cached ones up to date from the delta log: the commit then costs
+    /// O(touched instructions), and the caller's next queries hit.
+    pub fn after_pass_in(
+        &mut self,
+        pass: &str,
+        seed: Option<SeedDesc>,
+        f: &mut Function,
+        am: &mut AnalysisManager,
         outcome: Result<bool, Box<dyn Any + Send>>,
     ) -> Option<Incident> {
         let snapshot = self.snapshot.take();
@@ -380,8 +397,12 @@ impl GuardInstrumentation {
                     commit(f);
                     return None;
                 }
-                let verdict = match txn {
-                    Some(mark) => lslp_ir::verify_function_touched(f, &f.touched_since(mark)),
+                let verdict = match txn.and_then(|mark| f.touched_since(mark)) {
+                    Some(touched) => {
+                        let positions = am.positions(f);
+                        let uses = am.use_map(f);
+                        lslp_ir::verify_function_touched(f, &touched, &positions, &uses)
+                    }
                     None => lslp_ir::verify_function(f),
                 };
                 match verdict {
@@ -419,16 +440,34 @@ impl GuardInstrumentation {
         f: &mut Function,
         body: impl FnOnce(&mut Function) -> (T, bool),
     ) -> Result<T, Incident> {
+        self.transact_in(pass, seed, f, &mut AnalysisManager::new(), |f, _| body(f))
+    }
+
+    /// [`GuardInstrumentation::transact`] with an analysis manager, which
+    /// `body` may use and the commit check reads (see
+    /// [`GuardInstrumentation::after_pass_in`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`GuardInstrumentation::transact`].
+    pub fn transact_in<T>(
+        &mut self,
+        pass: &str,
+        seed: Option<SeedDesc>,
+        f: &mut Function,
+        am: &mut AnalysisManager,
+        body: impl FnOnce(&mut Function, &mut AnalysisManager) -> (T, bool),
+    ) -> Result<T, Incident> {
         if self.policy.mode == GuardMode::Off {
-            let (t, _mutated) = body(f);
+            let (t, _mutated) = body(f, am);
             return Ok(t);
         }
         self.before_pass(f);
-        let (value, flag) = match self.catch_panics(AssertUnwindSafe(|| body(f))) {
+        let (value, flag) = match self.catch_panics(AssertUnwindSafe(|| body(f, am))) {
             Ok((t, mutated)) => (Some(t), Ok(mutated)),
             Err(payload) => (None, Err(payload)),
         };
-        match self.after_pass(pass, seed, f, flag) {
+        match self.after_pass_in(pass, seed, f, am, flag) {
             None => Ok(value.expect("commit implies the body completed")),
             Some(incident) => Err(incident),
         }
@@ -500,8 +539,27 @@ pub fn run_guarded<T>(
     incidents: &mut Vec<Incident>,
     body: impl FnOnce(&mut Function) -> (T, bool),
 ) -> Result<Option<T>, GuardError> {
+    run_guarded_in(f, &mut AnalysisManager::new(), policy, pass, seed, incidents, |f, _| body(f))
+}
+
+/// [`run_guarded`] with an analysis manager that `body` may use and the
+/// commit check reads, so verifying a commit costs O(touched
+/// instructions) and leaves `am` up to date for the caller.
+///
+/// # Errors
+///
+/// Returns [`GuardError`] carrying the incident in strict mode.
+pub fn run_guarded_in<T>(
+    f: &mut Function,
+    am: &mut AnalysisManager,
+    policy: GuardPolicy,
+    pass: &str,
+    seed: Option<SeedDesc>,
+    incidents: &mut Vec<Incident>,
+    body: impl FnOnce(&mut Function, &mut AnalysisManager) -> (T, bool),
+) -> Result<Option<T>, GuardError> {
     let mut gi = GuardInstrumentation::new(policy);
-    match gi.transact(pass, seed, f, body) {
+    match gi.transact_in(pass, seed, f, am, body) {
         Ok(t) => Ok(Some(t)),
         Err(incident) => {
             record(policy.mode, incidents, incident)?;

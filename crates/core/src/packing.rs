@@ -28,7 +28,9 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use lslp_analysis::{AddrInfo, AnalysisManager, PositionMap};
+use std::rc::Rc;
+
+use lslp_analysis::{AddrInfo, AnalysisManager, MemLoc, PositionMap};
 use lslp_ir::{Function, Opcode, Type, UseMap, ValueId};
 use lslp_target::CostModel;
 
@@ -85,15 +87,20 @@ pub fn strategy_for(kind: PackingStrategy) -> &'static dyn Strategy {
 
 /// Render a seed bundle as `BASE[+lo..+hi)` for reports and incidents.
 pub(crate) fn seed_desc(f: &Function, addr: &AddrInfo, bundle: &[ValueId]) -> String {
-    let Some(loc) = addr.loc(bundle[0]) else {
-        return format!("{} stores", bundle.len());
+    loc_desc(f, addr.loc(bundle[0]), bundle.len())
+}
+
+/// [`seed_desc`] from the first store's location and the bundle length.
+fn loc_desc(f: &Function, loc: Option<&MemLoc>, len: usize) -> String {
+    let Some(loc) = loc else {
+        return format!("{len} stores");
     };
     let base = f
         .value_name(loc.addr.base)
         .map(str::to_owned)
         .unwrap_or_else(|| format!("%{}", loc.addr.base.raw()));
     let lo = loc.addr.offset.konst;
-    let hi = lo + (bundle.len() as i64) * loc.bytes as i64;
+    let hi = lo + (len as i64) * loc.bytes as i64;
     format!("{base}[+{lo}..+{hi})")
 }
 
@@ -206,31 +213,54 @@ fn cost_bundle(
     Ok(Some((cost, idx)))
 }
 
+/// The analyses the packers cost and commit against, all of one function
+/// state.
+struct Analyses {
+    addr: Rc<AddrInfo>,
+    positions: Rc<PositionMap>,
+    uses: Rc<UseMap>,
+}
+
+impl Analyses {
+    fn of(cx: &mut PackCx<'_>) -> Analyses {
+        Analyses {
+            addr: cx.am.addr_info(cx.f),
+            positions: cx.am.positions(cx.f),
+            uses: cx.am.use_map(cx.f),
+        }
+    }
+}
+
 /// Phase 3 (commit): rebuild the winning graph on the unchanged function
 /// state (builds are deterministic) and generate vector code inside a
 /// guard transaction. `Some(stats)` on commit, `None` on rollback.
+///
+/// Takes the analyses by value and drops them before the commit check,
+/// which brings the manager's copies up to date in place: a reference
+/// still held here would make that update copy them.
 fn commit_pack(
     cx: &mut PackCx<'_>,
     bundle: &[ValueId],
-    addr: &AddrInfo,
-    positions: &PositionMap,
-    use_map: &UseMap,
+    an: Analyses,
 ) -> Result<Option<CodegenStats>, GuardError> {
-    let desc = |f: &Function| seed_desc(f, addr, bundle);
+    let loc = an.addr.loc(bundle[0]).cloned();
+    let desc = |f: &Function| loc_desc(f, loc.as_ref(), bundle.len());
     let cfg = cx.cfg;
     let tm = cx.tm;
-    let am = &mut *cx.am;
-    guard::run_guarded(
+    guard::run_guarded_in(
         cx.f,
+        cx.am,
         cfg.guard_policy(),
         "vectorize",
         Some(&desc as guard::SeedDesc),
         &mut cx.report.incidents,
-        |f| {
-            let mut graph = GraphBuilder::new(f, cfg, tm, addr, positions, use_map).build(bundle);
+        move |f, am| {
+            let Analyses { addr, positions, uses } = an;
+            let mut graph = GraphBuilder::new(f, cfg, tm, &addr, &positions, &uses).build(bundle);
             if cfg.throttle {
-                crate::throttle::throttle(f, &mut graph, tm, use_map);
+                crate::throttle::throttle(f, &mut graph, tm, &uses);
             }
+            drop((addr, positions, uses));
             let stats = codegen::generate_with(f, &graph, tm, am);
             if cfg.sabotage == Sabotage::SwapShuffleMask {
                 crate::pass::sabotage_swap_mask(f);
@@ -332,15 +362,13 @@ impl Strategy for GreedyStrategy {
 fn run_greedy(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
     let mut tried: HashSet<Vec<ValueId>> = HashSet::new();
     'restart: loop {
-        let addr = cx.am.addr_info(cx.f);
-        let chains = collect_store_chains(cx.f, &addr);
-        let positions = cx.am.positions(cx.f);
-        let use_map = cx.am.use_map(cx.f);
+        let mut an = Analyses::of(cx);
+        let chains = collect_store_chains(cx.f, &an.addr);
         for chain in &chains {
             let Some(elem) = cx.f.ty(cx.f.args_of(chain.stores[0])[0]).elem() else {
                 // A store whose stored value has no element type (void):
                 // nothing we could widen. Skip the chain and record it.
-                record_unsupported(cx, &addr, chain, &mut tried)?;
+                record_unsupported(cx, &an.addr, chain, &mut tried)?;
                 continue;
             };
             let max_vf = (cx.tm.max_vf(elem) as usize).min(cx.cfg.max_vf as usize);
@@ -373,9 +401,9 @@ fn run_greedy(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
                             cx,
                             &bundle,
                             vf,
-                            &addr,
-                            &positions,
-                            &use_map,
+                            &an.addr,
+                            &an.positions,
+                            &an.uses,
                             PackingStrategy::Greedy,
                         )? {
                             if cost < cx.cfg.cost_threshold {
@@ -398,11 +426,12 @@ fn run_greedy(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
                     candidates.reverse();
                 }
                 for (_, bundle, cost, attempt_idx) in &candidates {
-                    if let Some(stats) = commit_pack(cx, bundle, &addr, &positions, &use_map)? {
+                    if let Some(stats) = commit_pack(cx, bundle, an)? {
                         mark_committed(cx.report, *attempt_idx, *cost, &stats);
                         continue 'restart;
                     }
                     // Rolled back: fall through to the next-best VF.
+                    an = Analyses::of(cx);
                 }
                 i += 1;
             }
@@ -546,13 +575,11 @@ fn run_global_plan(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
         if *cx.fuel_spent {
             break;
         }
-        let addr = cx.am.addr_info(cx.f);
-        let chains = collect_store_chains(cx.f, &addr);
-        let positions = cx.am.positions(cx.f);
-        let use_map = cx.am.use_map(cx.f);
+        let mut an = Analyses::of(cx);
+        let chains = collect_store_chains(cx.f, &an.addr);
         for chain in &chains {
             let Some(elem) = cx.f.ty(cx.f.args_of(chain.stores[0])[0]).elem() else {
-                record_unsupported(cx, &addr, chain, &mut tried)?;
+                record_unsupported(cx, &an.addr, chain, &mut tried)?;
                 continue;
             };
             let max_vf = (cx.tm.max_vf(elem) as usize).min(cx.cfg.max_vf as usize);
@@ -573,9 +600,9 @@ fn run_global_plan(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
                             cx,
                             &bundle,
                             vf,
-                            &addr,
-                            &positions,
-                            &use_map,
+                            &an.addr,
+                            &an.positions,
+                            &an.uses,
                             PackingStrategy::Global,
                         )? {
                             if cost < cx.cfg.cost_threshold {
@@ -600,11 +627,12 @@ fn run_global_plan(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
             // next round plans against fresh analyses (positions and uses
             // shift under the committed rewrite).
             for pick in plan {
-                if let Some(stats) = commit_pack(cx, &pick.bundle, &addr, &positions, &use_map)? {
+                if let Some(stats) = commit_pack(cx, &pick.bundle, an)? {
                     mark_committed(cx.report, pick.attempt_idx, pick.cost, &stats);
                     continue 'restart;
                 }
                 failed.insert(pick.bundle.clone());
+                an = Analyses::of(cx);
             }
         }
         break;

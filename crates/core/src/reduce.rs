@@ -92,7 +92,7 @@ pub fn find_candidates(
         // adjacent lanes, maximizing the graph's chance of consecutive
         // access groups.
         let mut operands = chain.operands.clone();
-        operands.sort_by_key(|v| positions.get(v).copied().unwrap_or(usize::MAX));
+        operands.sort_by_key(|&v| positions.key(v).unwrap_or(u64::MAX));
         out.push(ReductionCandidate {
             root: id,
             op: inst.op,
@@ -171,13 +171,13 @@ pub fn try_reduction_with(
     // every leftover operand's definition (all of which precede the chain
     // root, so the replacement still dominates the root's users).
     let positions = am.positions(f);
-    let mut at = positions[&vec_val];
-    for left in &cand.leftovers {
-        if let Some(&p) = positions.get(left) {
-            at = at.max(p);
-        }
-    }
-    at += 1;
+    let last = std::iter::once(vec_val)
+        .chain(cand.leftovers.iter().copied())
+        .filter_map(|v| Some((positions.key(v)?, v)))
+        .max()
+        .map(|(_, v)| v)
+        .expect("the vector value is in the body");
+    let mut at = positions.index_in(f.body(), last).expect("keyed values are in the body") + 1;
     let vty = f.ty(vec_val);
     let mut cur = vec_val;
     let mut width = m;

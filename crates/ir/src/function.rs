@@ -13,13 +13,16 @@
 //! replays only the touched records — O(changes), not O(function) — while
 //! restoring the pre-transaction epoch so epoch-keyed analysis caches stay
 //! warm. Outside a transaction no records are kept and mutation is
-//! log-free.
+//! log-free. Inside one, the log doubles as an edit journal: body edits are
+//! recorded per instruction, so [`Function::edits_since`] lets analyses
+//! catch up with a commit in O(changes) (see [`crate::PositionMap`]).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cfg::{Block, BlockId, Cfg, Terminator};
 use crate::inst::{Inst, InstAttr, Opcode};
+use crate::maps::{PositionMap, UseMap};
 use crate::types::Type;
 use crate::value::{ConstId, Constant, ValueId};
 
@@ -70,36 +73,6 @@ pub enum ValueData {
     },
 }
 
-/// One use of a value: which instruction uses it and at which operand slot.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Use {
-    /// The using instruction.
-    pub user: ValueId,
-    /// The operand index within the user's argument list.
-    pub index: usize,
-}
-
-/// A map from values to their uses within a function body, in body order.
-///
-/// Snapshot semantics: the map reflects the function at the time
-/// [`Function::use_map`] was called and is not updated by later mutation.
-#[derive(Clone, Debug, Default)]
-pub struct UseMap {
-    map: HashMap<ValueId, Vec<Use>>,
-}
-
-impl UseMap {
-    /// All uses of `v`, in body order. Empty when unused.
-    pub fn uses(&self, v: ValueId) -> &[Use] {
-        self.map.get(&v).map_or(&[], Vec::as_slice)
-    }
-
-    /// Number of uses of `v`.
-    pub fn num_uses(&self, v: ValueId) -> usize {
-        self.uses(v).len()
-    }
-}
-
 /// One reversible mutation record in a function's [`DeltaLog`].
 ///
 /// Each mutating method of [`Function`] appends exactly the records needed
@@ -114,10 +87,11 @@ enum Delta {
     ConstIntern,
     /// A parameter handle was appended.
     ParamPush,
-    /// An instruction was appended to the body.
-    BodyPush,
-    /// An instruction was inserted into the body at `at`.
-    BodyInsert { at: usize },
+    /// Instruction `v` was inserted into the body at index `at`, between
+    /// `prev` and `next` (its neighbours at the time).
+    BodyInsert { at: usize, v: ValueId, prev: Option<ValueId>, next: Option<ValueId> },
+    /// Instruction `v` was removed from body index `at`.
+    BodyRemove { at: usize, v: ValueId },
     /// The whole body order was replaced; `old` is the previous order.
     BodyReplace { old: Vec<ValueId> },
     /// A value's debug name was set; `old` is the previous name.
@@ -157,6 +131,48 @@ pub struct TxnMark {
     epoch: u64,
 }
 
+/// A resumable position in a function's delta log, for analyses that
+/// catch up with later edits instead of recomputing (see
+/// [`Function::log_cursor`] and [`Function::edits_since`]).
+///
+/// A cursor stays valid while the records before it are unchanged: it
+/// names the stamp of its last record (or of the log's base state), and
+/// stamps are never reused, so a rollback below the cursor or a closed
+/// transaction invalidates it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct LogCursor {
+    len: usize,
+    stamp: u64,
+}
+
+/// One edit since a [`LogCursor`], as [`Function::edits_since`] reports it.
+#[derive(Clone, Copy, Debug)]
+pub enum Edit<'a> {
+    /// Instruction `v` entered the body between `prev` and `next`, its
+    /// neighbours at that moment (`None` at either end).
+    Insert {
+        /// The inserted instruction.
+        v: ValueId,
+        /// The instruction just before it, if any.
+        prev: Option<ValueId>,
+        /// The instruction just after it, if any.
+        next: Option<ValueId>,
+    },
+    /// Instruction `v` left the body.
+    Remove {
+        /// The removed instruction.
+        v: ValueId,
+    },
+    /// The payload of `v` was (possibly) changed; `old` is the payload it
+    /// had just before.
+    Rewrite {
+        /// The rewritten instruction.
+        v: ValueId,
+        /// Its previous payload.
+        old: &'a Inst,
+    },
+}
+
 /// A straight-line function: parameters, interned constants, and a single
 /// ordered list of instructions (the *body*).
 ///
@@ -178,9 +194,12 @@ pub struct Function {
     /// Interning index: constant payload → pool id. Only consulted when
     /// interning (parse/build time), never on the per-attempt hot path.
     const_lookup: HashMap<Constant, ConstId>,
-    /// Reversible records for the open transaction window(s); empty when
-    /// no transaction is open.
-    log: Vec<Delta>,
+    /// Reversible records for the open transaction window(s), each with
+    /// the epoch it was made at; empty when no transaction is open.
+    log: Vec<(u64, Delta)>,
+    /// The epoch at which the outermost open transaction began: the state
+    /// an empty log prefix stands for.
+    log_base: u64,
     /// Number of nested open transactions.
     txn_depth: u32,
     /// Mutation epoch: refreshed from a process-wide counter on every
@@ -198,8 +217,8 @@ pub struct Function {
 /// when `logging`. Untouched instructions are neither cloned nor logged.
 fn rewrite_args(
     values: &mut [ValueData],
-    log: &mut Vec<Delta>,
-    logging: bool,
+    log: &mut Vec<(u64, Delta)>,
+    logging: Option<u64>,
     user: ValueId,
     map: &HashMap<ValueId, ValueId>,
 ) {
@@ -207,8 +226,8 @@ fn rewrite_args(
     if !inst.args.iter().any(|a| map.contains_key(a)) {
         return;
     }
-    if logging {
-        log.push(Delta::SetInst { v: user, old: inst.clone() });
+    if let Some(epoch) = logging {
+        log.push((epoch, Delta::SetInst { v: user, old: inst.clone() }));
     }
     for arg in &mut inst.args {
         if let Some(&new) = map.get(arg) {
@@ -230,6 +249,7 @@ impl Function {
             const_vals: Vec::new(),
             const_lookup: HashMap::new(),
             log: Vec::new(),
+            log_base: 0,
             txn_depth: 0,
             epoch: fresh_epoch(),
             cfg: None,
@@ -263,7 +283,7 @@ impl Function {
     /// Append a reversible record if a transaction is open.
     fn record(&mut self, d: Delta) {
         if self.txn_depth > 0 {
-            self.log.push(d);
+            self.log.push((self.epoch, d));
         }
     }
 
@@ -274,6 +294,9 @@ impl Function {
     /// [`Function::rollback_txn`]. Transactions nest: an inner mark rolls
     /// back only the mutations made after it.
     pub fn begin_txn(&mut self) -> TxnMark {
+        if self.txn_depth == 0 {
+            self.log_base = self.epoch;
+        }
         self.txn_depth += 1;
         TxnMark { len: self.log.len(), epoch: self.epoch }
     }
@@ -305,7 +328,7 @@ impl Function {
     pub fn rollback_txn(&mut self, mark: TxnMark) {
         assert!(self.txn_depth > 0, "rollback_txn without begin_txn");
         while self.log.len() > mark.len {
-            let d = self.log.pop().expect("log shorter than its mark");
+            let (_, d) = self.log.pop().expect("log shorter than its mark");
             self.undo(d);
         }
         self.epoch = mark.epoch;
@@ -326,27 +349,27 @@ impl Function {
         self.log.len()
     }
 
-    /// The set of values touched (allocated or mutated) since `mark`.
+    /// The set of values touched since `mark`: allocated, renamed,
+    /// rewritten, or inserted into or removed from the body.
     ///
-    /// Used by the incremental verifier on commit: an instruction whose id
-    /// is absent from this set *and* all of whose operands are absent has
-    /// an unchanged payload with unchanged operand payloads, so its
-    /// per-opcode type rules cannot have been invalidated. Body *order*
-    /// changes are deliberately not reflected here — order-sensitive
-    /// checks (duplicates, def-before-use) are cheap and always run in
-    /// full.
-    pub fn touched_since(&self, mark: TxnMark) -> HashSet<ValueId> {
+    /// Used by the incremental verifier on commit: an instruction outside
+    /// this set none of whose operands is in it kept its payload, its
+    /// operands' payloads and its operands' body membership, so it cannot
+    /// have become invalid. `None` when the window holds a whole-body or
+    /// CFG edit, which names no instructions (verify in full then).
+    pub fn touched_since(&self, mark: TxnMark) -> Option<HashSet<ValueId>> {
         let mut touched = HashSet::new();
-        for d in &self.log[mark.len.min(self.log.len())..] {
+        for (_, d) in &self.log[mark.len.min(self.log.len())..] {
             match d {
-                Delta::Alloc { v } | Delta::SetName { v, .. } | Delta::SetInst { v, .. } => {
+                Delta::Alloc { v }
+                | Delta::SetName { v, .. }
+                | Delta::SetInst { v, .. }
+                | Delta::BodyInsert { v, .. }
+                | Delta::BodyRemove { v, .. } => {
                     touched.insert(*v);
                 }
-                Delta::ConstIntern
-                | Delta::ParamPush
-                | Delta::BodyPush
-                | Delta::BodyInsert { .. }
-                | Delta::BodyReplace { .. }
+                Delta::ConstIntern | Delta::ParamPush => {}
+                Delta::BodyReplace { .. }
                 | Delta::CfgInit
                 | Delta::CfgBlockAdd
                 | Delta::CfgBlockParamPush { .. }
@@ -354,10 +377,64 @@ impl Function {
                 | Delta::CfgInstsReplace { .. }
                 | Delta::CfgParamsReplace { .. }
                 | Delta::CfgSetTerm { .. }
-                | Delta::CfgDissolve { .. } => {}
+                | Delta::CfgDissolve { .. } => return None,
             }
         }
-        touched
+        Some(touched)
+    }
+
+    /// A cursor at the current end of the delta log, for an analysis
+    /// computed against the function as it is now. `None` outside a
+    /// transaction, where nothing is logged.
+    pub fn log_cursor(&self) -> Option<LogCursor> {
+        if self.txn_depth == 0 {
+            return None;
+        }
+        let stamp = self.log.last().map_or(self.log_base, |&(epoch, _)| epoch);
+        Some(LogCursor { len: self.log.len(), stamp })
+    }
+
+    /// The edits made since `cursor`, in order: body insertions and
+    /// removals and payload rewrites (allocations, names and interned
+    /// constants change no analysis and are left out). `None` when the
+    /// records before the cursor are gone (the transaction closed or
+    /// rolled back below it) or the window holds a whole-body or CFG edit
+    /// that names no instructions; the caller then recomputes.
+    pub fn edits_since(&self, cursor: LogCursor) -> Option<Vec<Edit<'_>>> {
+        if self.txn_depth == 0 || cursor.len > self.log.len() {
+            return None;
+        }
+        let stamp = match cursor.len {
+            0 => self.log_base,
+            n => self.log[n - 1].0,
+        };
+        if stamp != cursor.stamp {
+            return None;
+        }
+        let mut edits = Vec::new();
+        for (_, d) in &self.log[cursor.len..] {
+            match d {
+                Delta::BodyInsert { v, prev, next, .. } => {
+                    edits.push(Edit::Insert { v: *v, prev: *prev, next: *next });
+                }
+                Delta::BodyRemove { v, .. } => edits.push(Edit::Remove { v: *v }),
+                Delta::SetInst { v, old } => edits.push(Edit::Rewrite { v: *v, old }),
+                Delta::Alloc { .. }
+                | Delta::ConstIntern
+                | Delta::ParamPush
+                | Delta::SetName { .. } => {}
+                Delta::BodyReplace { .. }
+                | Delta::CfgInit
+                | Delta::CfgBlockAdd
+                | Delta::CfgBlockParamPush { .. }
+                | Delta::CfgInstPush { .. }
+                | Delta::CfgInstsReplace { .. }
+                | Delta::CfgParamsReplace { .. }
+                | Delta::CfgSetTerm { .. }
+                | Delta::CfgDissolve { .. } => return None,
+            }
+        }
+        Some(edits)
     }
 
     /// Undo one record. Called in reverse log order only.
@@ -376,11 +453,11 @@ impl Function {
             Delta::ParamPush => {
                 self.params.pop();
             }
-            Delta::BodyPush => {
-                self.body.pop();
-            }
-            Delta::BodyInsert { at } => {
+            Delta::BodyInsert { at, .. } => {
                 self.body.remove(at);
+            }
+            Delta::BodyRemove { at, v } => {
+                self.body.insert(at, v);
             }
             Delta::BodyReplace { old } => {
                 self.body = old;
@@ -482,9 +559,8 @@ impl Function {
 
     /// Append an instruction to the body; returns its value handle.
     pub fn push(&mut self, op: Opcode, ty: Type, args: Vec<ValueId>, attr: InstAttr) -> ValueId {
-        let id = self.alloc(ValueData::Inst(Inst::new(op, ty, args, attr)), None);
-        self.body.push(id);
-        self.record(Delta::BodyPush);
+        let id = self.create(op, ty, args, attr);
+        self.insert_value(self.body.len(), id);
         id
     }
 
@@ -502,10 +578,45 @@ impl Function {
         attr: InstAttr,
     ) -> ValueId {
         assert!(at <= self.body.len(), "insert position out of range");
-        let id = self.alloc(ValueData::Inst(Inst::new(op, ty, args, attr)), None);
-        self.body.insert(at, id);
-        self.record(Delta::BodyInsert { at });
+        let id = self.create(op, ty, args, attr);
+        self.insert_value(at, id);
         id
+    }
+
+    /// Allocate an instruction outside the body (an orphan until
+    /// [`Function::insert_value`] places it).
+    pub fn create(&mut self, op: Opcode, ty: Type, args: Vec<ValueId>, attr: InstAttr) -> ValueId {
+        self.alloc(ValueData::Inst(Inst::new(op, ty, args, attr)), None)
+    }
+
+    /// Insert the existing instruction `v`, which must not already be in
+    /// the body, at body position `at` (shifting later ones). Logs one
+    /// record naming `v` and its new neighbours.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at > body_len()` or `v` is not an instruction.
+    pub fn insert_value(&mut self, at: usize, v: ValueId) {
+        assert!(at <= self.body.len(), "insert position out of range");
+        assert!(self.is_inst(v), "insert_value: {v} is not an instruction");
+        self.touch();
+        let prev = at.checked_sub(1).map(|i| self.body[i]);
+        let next = self.body.get(at).copied();
+        self.body.insert(at, v);
+        self.record(Delta::BodyInsert { at, v, prev, next });
+    }
+
+    /// Remove the instruction at body position `at` (it becomes an
+    /// orphan) and return it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at >= body_len()`.
+    pub fn remove_at(&mut self, at: usize) -> ValueId {
+        self.touch();
+        let v = self.body.remove(at);
+        self.record(Delta::BodyRemove { at, v });
+        v
     }
 
     /// Attach a debug name to a value (shown by the printer).
@@ -548,7 +659,7 @@ impl Function {
         if self.txn_depth > 0 {
             if let ValueData::Inst(old) = &self.values[v.index()] {
                 let old = old.clone();
-                self.log.push(Delta::SetInst { v, old });
+                self.log.push((self.epoch, Delta::SetInst { v, old }));
             }
         }
         match &mut self.values[v.index()] {
@@ -642,22 +753,14 @@ impl Function {
         self.values.len()
     }
 
-    /// A map from each body instruction to its current position.
-    pub fn position_map(&self) -> HashMap<ValueId, usize> {
-        self.body.iter().enumerate().map(|(i, &v)| (v, i)).collect()
+    /// The order keys of the current body (see [`PositionMap`]).
+    pub fn position_map(&self) -> PositionMap {
+        PositionMap::of_body(&self.body)
     }
 
     /// Compute the current use map of the body.
     pub fn use_map(&self) -> UseMap {
-        let mut map: HashMap<ValueId, Vec<Use>> = HashMap::new();
-        for &user in &self.body {
-            if let ValueData::Inst(inst) = self.value(user) {
-                for (index, &arg) in inst.args.iter().enumerate() {
-                    map.entry(arg).or_default().push(Use { user, index });
-                }
-            }
-        }
-        UseMap { map }
+        UseMap::of_body(self)
     }
 
     // ----- mutation -------------------------------------------------------
@@ -681,8 +784,8 @@ impl Function {
             return;
         }
         self.touch();
-        let Function { values, body, log, txn_depth, cfg, .. } = self;
-        let logging = *txn_depth > 0;
+        let Function { values, body, log, txn_depth, cfg, epoch, .. } = self;
+        let logging = (*txn_depth > 0).then_some(*epoch);
         for &user in body.iter() {
             rewrite_args(values, log, logging, user, map);
         }
@@ -694,47 +797,34 @@ impl Function {
             let mut term = block.term.clone();
             if term.rewrite_operands(map) {
                 let old = std::mem::replace(&mut block.term, term);
-                if logging {
-                    log.push(Delta::CfgSetTerm { b: BlockId::from_raw(bi as u32), old });
+                if let Some(epoch) = logging {
+                    log.push((epoch, Delta::CfgSetTerm { b: BlockId::from_raw(bi as u32), old }));
                 }
             }
         }
     }
 
-    /// Remove the given instructions from the body (they become orphans).
-    /// An empty set is a no-op.
+    /// Remove the given instructions from the body (they become orphans),
+    /// logging one removal per instruction. An empty set is a no-op.
     pub fn remove_from_body(&mut self, dead: &HashSet<ValueId>) {
         if dead.is_empty() {
             return;
         }
         self.touch();
-        if self.txn_depth > 0 {
-            let old = self.body.clone();
-            self.log.push(Delta::BodyReplace { old });
+        let logging = self.txn_depth > 0;
+        let mut kept = 0;
+        for i in 0..self.body.len() {
+            let v = self.body[i];
+            if dead.contains(&v) {
+                if logging {
+                    self.log.push((self.epoch, Delta::BodyRemove { at: kept, v }));
+                }
+            } else {
+                self.body[kept] = v;
+                kept += 1;
+            }
         }
-        self.body.retain(|v| !dead.contains(v));
-    }
-
-    /// Replace the body with a new instruction order.
-    ///
-    /// Used by vector code generation to interleave newly created
-    /// instructions at their proper positions. Instructions left out of
-    /// `new_order` become orphans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_order` contains duplicates or non-instructions.
-    pub fn rebuild_body(&mut self, new_order: Vec<ValueId>) {
-        let mut seen = HashSet::with_capacity(new_order.len());
-        for &v in &new_order {
-            assert!(self.is_inst(v), "rebuild_body: {v} is not an instruction");
-            assert!(seen.insert(v), "rebuild_body: {v} appears twice");
-        }
-        // Validation precedes both the mutation and the record, so a
-        // panicking call leaves the log consistent with the content.
-        self.touch();
-        let old = std::mem::replace(&mut self.body, new_order);
-        self.record(Delta::BodyReplace { old });
+        self.body.truncate(kept);
     }
 
     /// Iterate over `(position, id, inst)` for the body.
@@ -974,8 +1064,10 @@ mod tests {
         let (f, add, mul) = sample();
         assert_eq!(f.body_len(), 2);
         let pos = f.position_map();
-        assert_eq!(pos[&add], 0);
-        assert_eq!(pos[&mul], 1);
+        assert_eq!(pos.index_in(f.body(), add), Some(0));
+        assert_eq!(pos.index_in(f.body(), mul), Some(1));
+        assert!(pos.key(add) < pos.key(mul));
+        assert!(pos.orders(f.body()));
     }
 
     #[test]
@@ -1081,8 +1173,8 @@ mod tests {
         let c = f.const_i64(3);
         let early = f.insert(0, Opcode::Add, Type::I64, vec![c, c], InstAttr::None);
         let pos = f.position_map();
-        assert_eq!(pos[&early], 0);
-        assert_eq!(pos[&add], 1);
+        assert_eq!(pos.index_in(f.body(), early), Some(0));
+        assert_eq!(pos.index_in(f.body(), add), Some(1));
     }
 
     #[test]
@@ -1192,8 +1284,10 @@ mod tests {
         let mut dead = HashSet::new();
         dead.insert(add);
         f.remove_from_body(&dead);
-        let order: Vec<ValueId> = f.body().iter().rev().copied().collect();
-        f.rebuild_body(order);
+        let moved = f.remove_at(0);
+        f.insert_value(f.body_len(), moved);
+        let detached = f.create(Opcode::Mul, Type::I64, vec![c, c], InstAttr::None);
+        f.insert_value(1, detached);
         assert_ne!(print_function(&f), before);
         let _ = p;
 
@@ -1257,12 +1351,74 @@ mod tests {
         if let Some(i) = f.inst_mut(mul) {
             i.args.swap(0, 1);
         }
-        let touched = f.touched_since(mark);
+        let touched = f.touched_since(mark).expect("no whole-body edit");
         assert!(touched.contains(&c));
         assert!(touched.contains(&s));
         assert!(touched.contains(&mul));
         assert!(!touched.contains(&add));
+        f.remove_from_body(&HashSet::from([add]));
+        assert!(f.touched_since(mark).unwrap().contains(&add), "removals count");
         f.rollback_txn(mark);
+    }
+
+    #[test]
+    fn edits_since_replays_into_the_maps() {
+        let (mut f, add, mul) = sample();
+        let anchor = f.begin_txn();
+        let mut positions = f.position_map();
+        let mut uses = f.use_map();
+        let cursor = f.log_cursor().expect("inside a transaction");
+        let c = f.const_i64(5);
+        let x = f.insert(1, Opcode::Add, Type::I64, vec![add, c], InstAttr::None);
+        if let Some(i) = f.inst_mut(mul) {
+            i.args[1] = x;
+        }
+        let y = f.create(Opcode::Sub, Type::I64, vec![x, add], InstAttr::None);
+        f.insert_value(3, y);
+        let edits = f.edits_since(cursor).expect("replayable");
+        assert_eq!(edits.len(), 3);
+        assert!(positions.apply(&edits));
+        uses.apply(&f, &edits, &positions);
+        assert!(positions.orders(f.body()));
+        let fresh = f.use_map();
+        for i in 0..f.num_values() {
+            let v = ValueId::from_raw(i as u32);
+            assert_eq!(uses.uses(v), fresh.uses(v), "uses of {v}");
+        }
+        // A rollback below the cursor invalidates it.
+        let later = f.log_cursor().unwrap();
+        f.rollback_txn(anchor);
+        assert!(f.edits_since(later).is_none());
+        assert!(f.log_cursor().is_none(), "no cursor outside a transaction");
+    }
+
+    #[test]
+    fn edits_since_stops_at_whole_body_edits() {
+        let mut f = Function::new("cfg");
+        let mark = f.begin_txn();
+        let cursor = f.log_cursor().unwrap();
+        let entry = f.init_cfg();
+        let _ = entry;
+        assert!(f.edits_since(cursor).is_none());
+        assert!(f.touched_since(mark).is_none());
+        f.rollback_txn(mark);
+    }
+
+    #[test]
+    fn positions_report_an_exhausted_gap() {
+        let (mut f, add, _) = sample();
+        f.begin_txn();
+        let mut positions = f.position_map();
+        let cursor = f.log_cursor().unwrap();
+        let c = f.const_i64(1);
+        // Every insert lands right after `add`, halving the same gap.
+        for _ in 0..40 {
+            let at = f.body().iter().position(|&v| v == add).unwrap() + 1;
+            f.insert(at, Opcode::Add, Type::I64, vec![c, c], InstAttr::None);
+        }
+        let edits = f.edits_since(cursor).unwrap();
+        assert!(!positions.apply(&edits), "the gap runs out and asks for a rebuild");
+        assert!(f.position_map().orders(f.body()));
     }
 
     #[test]

@@ -45,6 +45,7 @@ mod builder;
 mod cfg;
 mod function;
 mod inst;
+mod maps;
 mod parser;
 mod printer;
 mod types;
@@ -53,8 +54,9 @@ mod verifier;
 
 pub use builder::FunctionBuilder;
 pub use cfg::{Block, BlockId, Cfg, Terminator};
-pub use function::{Function, Module, TxnMark, Use, UseMap, ValueData};
+pub use function::{Edit, Function, LogCursor, Module, TxnMark, ValueData};
 pub use inst::{FloatPred, Inst, InstAttr, IntPred, Opcode};
+pub use maps::{PositionMap, Use, UseMap};
 pub use parser::{parse_function, parse_module, ParseError};
 pub use printer::{print_function, print_module};
 pub use types::{ScalarType, Type};

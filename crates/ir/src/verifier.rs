@@ -7,6 +7,7 @@ use std::fmt;
 use crate::cfg::{BlockId, Terminator};
 use crate::function::{Function, Module, ValueData};
 use crate::inst::{Inst, InstAttr, Opcode};
+use crate::maps::{PositionMap, UseMap};
 use crate::types::Type;
 use crate::value::ValueId;
 
@@ -42,9 +43,7 @@ impl<'f> Checker<'f> {
     }
 
     /// The order-sensitive structural half of instruction checking:
-    /// operand handles in range, definition before use. Cheap, and always
-    /// run in full (even by the incremental verifier) because body
-    /// reordering can invalidate it without touching any payload.
+    /// operand handles in range, definition before use.
     fn check_operands(
         &self,
         id: ValueId,
@@ -78,8 +77,8 @@ impl<'f> Checker<'f> {
     /// The per-opcode half: operand counts, type rules, attributes. Depends
     /// only on this instruction's payload and its operands' payloads, so the
     /// incremental verifier may skip it for instructions with no touched
-    /// payload in reach. Callers must have run [`Checker::check_operands`]
-    /// first (operand handles are indexed unchecked here).
+    /// payload in reach. Callers must have checked operand handles are in
+    /// range first (they are indexed unchecked here).
     fn check_types(&self, id: ValueId, inst: &Inst) -> Result<(), VerifyError> {
         let f = self.f;
         let aty = |i: usize| f.ty(inst.args[i]);
@@ -636,52 +635,67 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
 
 /// Incrementally verify a function after a transaction commit.
 ///
-/// `touched` is the set of values whose payloads were allocated or mutated
-/// since the transaction began (see
-/// [`Function::touched_since`](crate::Function::touched_since)). The
-/// order-sensitive structural checks — duplicate body entries,
-/// non-instructions in the body, operand handles in range, definition
-/// before use — are always run over the whole body (body *order* can
-/// change without any payload being touched, and these checks are a cheap
-/// linear walk). The per-opcode type rules, which depend only on an
-/// instruction's own payload and its operands' payloads, run only for
-/// instructions that are touched or have a touched operand.
+/// `touched` is the set of values allocated, rewritten, or inserted into or
+/// removed from the body since the transaction began (see
+/// [`Function::touched_since`](crate::Function::touched_since)); an
+/// instruction outside it whose operands are all outside it kept its
+/// payload and its operands' payloads and body membership. `positions` and
+/// `uses` describe the function as it is now. Only the touched body
+/// instructions and the users of touched values are checked: operand
+/// handles in range, every instruction operand in the body at an earlier
+/// position (read from the order keys), and the per-opcode type rules. A
+/// removed instruction that is still used fails through its user. The
+/// work is O(touched values and their uses), independent of body size.
 ///
-/// For a valid `touched` set this accepts exactly the functions
-/// [`verify_function`] accepts; it may differ only in *which* error is
-/// reported first for an invalid function.
+/// For a function that verified before the transaction and a valid
+/// `touched` set this accepts exactly the functions [`verify_function`]
+/// accepts; it may differ only in *which* error is reported first.
 ///
 /// # Errors
 ///
-/// Returns the first [`VerifyError`] found, with the offending value.
+/// Returns the first [`VerifyError`] found in body order, with the
+/// offending value.
 pub fn verify_function_touched(
     f: &Function,
     touched: &HashSet<ValueId>,
+    positions: &PositionMap,
+    uses: &UseMap,
 ) -> Result<(), VerifyError> {
     if f.cfg().is_some() {
         // CFG functions are small (pre-vectorization shapes); dominance and
         // region checks are global properties, so run the full verifier.
         return verify_cfg(f);
     }
+    if positions.len() != f.body_len() {
+        // Fewer keys than body entries: an instruction appears twice.
+        return verify_function(f);
+    }
     let checker = Checker { f };
-    let mut seen = HashSet::new();
-    let mut defined: HashSet<ValueId> = HashSet::new();
-    for &id in f.body() {
-        if !seen.insert(id) {
-            return Err(checker.err(Some(id), "instruction appears twice in body"));
+    let mut check: Vec<(u64, ValueId)> = Vec::new();
+    for &t in touched {
+        if let Some(k) = positions.key(t) {
+            check.push((k, t));
         }
-        match f.value(id) {
-            ValueData::Inst(inst) => {
-                checker.check_operands(id, inst, &defined)?;
-                let in_reach =
-                    touched.contains(&id) || inst.args.iter().any(|a| touched.contains(a));
-                if in_reach {
-                    checker.check_types(id, inst)?;
-                }
+        for u in uses.uses(t) {
+            check.push((positions.key(u.user).unwrap_or(0), u.user));
+        }
+    }
+    check.sort_unstable();
+    check.dedup();
+    for (key, id) in check {
+        let ValueData::Inst(inst) = f.value(id) else {
+            return Err(checker.err(Some(id), "body contains a non-instruction"));
+        };
+        for &a in &inst.args {
+            if a.index() >= f.num_values() {
+                return Err(checker.err(Some(id), "operand handle out of range"));
             }
-            _ => return Err(checker.err(Some(id), "body contains a non-instruction")),
+            if f.is_inst(a) && positions.key(a).is_none_or(|ka| ka >= key) {
+                return Err(checker
+                    .err(Some(id), format!("operand {a} used before definition (or orphaned)")));
+            }
         }
-        defined.insert(id);
+        checker.check_types(id, inst)?;
     }
     Ok(())
 }
@@ -847,26 +861,53 @@ mod tests {
         assert!(verify_function(&f).is_ok());
         let mark = f.begin_txn();
         let bad = f.push(Opcode::Add, Type::I64, vec![a, b], InstAttr::None);
-        let touched = f.touched_since(mark);
+        let touched = f.touched_since(mark).unwrap();
         assert!(touched.contains(&bad));
-        let err = verify_function_touched(&f, &touched).unwrap_err();
+        let err = touched_verdict(&f, &touched).unwrap_err();
         assert_eq!(err.value, Some(bad));
         f.rollback_txn(mark);
-        assert!(verify_function_touched(&f, &HashSet::new()).is_ok());
+        assert!(touched_verdict(&f, &HashSet::new()).is_ok());
+    }
+
+    /// The incremental verifier over freshly computed maps.
+    fn touched_verdict(f: &Function, touched: &HashSet<ValueId>) -> Result<(), VerifyError> {
+        verify_function_touched(f, touched, &f.position_map(), &f.use_map())
     }
 
     #[test]
-    fn incremental_verify_always_checks_structure() {
-        // An untouched instruction can still become invalid through body
-        // reordering (use before def); the incremental verifier must catch
-        // that even with an empty touched set.
+    fn incremental_verify_catches_moves_and_removals() {
+        // An untouched instruction becomes invalid when its operand moves
+        // after it or leaves the body; the move and the removal are
+        // touches, and their users get checked.
         let mut f = Function::new("t");
         let a = f.add_param("a", Type::I64);
         let x = f.push(Opcode::Add, Type::I64, vec![a, a], InstAttr::None);
         let y = f.push(Opcode::Mul, Type::I64, vec![x, x], InstAttr::None);
-        f.rebuild_body(vec![y, x]);
-        let err = verify_function_touched(&f, &HashSet::new()).unwrap_err();
+        let mark = f.begin_txn();
+        let moved = f.remove_at(0);
+        f.insert_value(1, moved);
+        let err = touched_verdict(&f, &f.touched_since(mark).unwrap()).unwrap_err();
         assert!(err.message.contains("before definition"), "{err}");
+        assert_eq!(err.value, Some(y));
+        f.rollback_txn(mark);
+        let mark = f.begin_txn();
+        f.remove_at(0);
+        let err = touched_verdict(&f, &f.touched_since(mark).unwrap()).unwrap_err();
+        assert!(err.message.contains("orphaned"), "{err}");
+        f.rollback_txn(mark);
+        assert!(touched_verdict(&f, &HashSet::from([x])).is_ok());
+    }
+
+    #[test]
+    fn incremental_verify_catches_duplicates() {
+        let mut f = Function::new("t");
+        let a = f.add_param("a", Type::I64);
+        let x = f.push(Opcode::Add, Type::I64, vec![a, a], InstAttr::None);
+        let mark = f.begin_txn();
+        f.insert_value(1, x);
+        let err = touched_verdict(&f, &f.touched_since(mark).unwrap()).unwrap_err();
+        assert!(err.message.contains("twice"), "{err}");
+        f.rollback_txn(mark);
     }
 
     #[test]
@@ -884,9 +925,9 @@ mod tests {
             i.op = Opcode::FAdd;
             i.args = vec![b, b];
         }
-        let touched = f.touched_since(mark);
+        let touched = f.touched_since(mark).unwrap();
         assert!(touched.contains(&x) && !touched.contains(&user));
-        let err = verify_function_touched(&f, &touched).unwrap_err();
+        let err = touched_verdict(&f, &touched).unwrap_err();
         assert_eq!(err.value, Some(user));
         f.rollback_txn(mark);
     }
@@ -1050,7 +1091,7 @@ mod tests {
         f.push_in_block(exit, Opcode::Store, Type::Void, vec![sum, a], InstAttr::None);
         verify_function(&f).unwrap();
         // The incremental entry delegates to the full CFG verifier.
-        verify_function_touched(&f, &HashSet::new()).unwrap();
+        touched_verdict(&f, &HashSet::new()).unwrap();
     }
 
     #[test]

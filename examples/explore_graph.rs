@@ -3,8 +3,6 @@
 //!
 //! Run with: `cargo run -p lslp --example explore_graph [kernel-name]`
 
-use std::collections::HashMap;
-
 use lslp::{graph_cost, GraphBuilder, VectorizerConfig};
 use lslp_analysis::AddrInfo;
 use lslp_ir::{Opcode, ValueId};
@@ -23,7 +21,7 @@ fn main() {
         for cfg_name in ["SLP", "LSLP"] {
             let cfg = VectorizerConfig::preset(cfg_name).unwrap();
             let addr = AddrInfo::analyze(&f);
-            let positions: HashMap<ValueId, usize> = f.position_map();
+            let positions = f.position_map();
             let use_map = f.use_map();
             // Seed with the function's store chain, as the pass would.
             let seeds: Vec<ValueId> = f

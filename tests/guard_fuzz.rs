@@ -209,8 +209,9 @@ fn next_rand(state: &mut u64) -> u64 {
 /// Apply `count` pseudo-random mutations drawn from the full `Function`
 /// mutation surface: allocation (params, constants, instructions), payload
 /// edits (`inst_mut`, `replace_uses`, names), and body-order changes
-/// (`remove_from_body`, `rebuild_body`). Validity of the result is
-/// irrelevant — rollback must restore even from invalid intermediate IR.
+/// (`remove_from_body`, and moves by `remove_at` + `insert_value`).
+/// Validity of the result is irrelevant — rollback must restore even from
+/// invalid intermediate IR.
 fn random_mutations(f: &mut lslp_ir::Function, seed: u64, count: usize) {
     use lslp_ir::{InstAttr, Opcode, Type, ValueId};
     let mut s = seed | 1;
@@ -254,11 +255,11 @@ fn random_mutations(f: &mut lslp_ir::Function, seed: u64, count: usize) {
                 }
             }
             _ => {
-                let mut order = f.body().to_vec();
-                if !order.is_empty() {
-                    let by = (next_rand(&mut s) % order.len() as u64) as usize;
-                    order.rotate_left(by);
-                    f.rebuild_body(order);
+                if f.body_len() > 1 {
+                    let from = (next_rand(&mut s) % f.body_len() as u64) as usize;
+                    let moved = f.remove_at(from);
+                    let to = (next_rand(&mut s) % (f.body_len() as u64 + 1)) as usize;
+                    f.insert_value(to, moved);
                 }
             }
         }
@@ -497,8 +498,8 @@ fn paranoid_oracle_raises_no_false_alarms() {
 
 /// The bookkeeping of one guarded attempt, timed both ways on every suite
 /// kernel: `begin_txn`/mutate/`rollback_txn` against clone/mutate/restore.
-/// The mutation is an attempt's shape — a few new instructions plus a
-/// body rebuild, as codegen does.
+/// The mutation is an attempt's shape — a few new instructions spliced
+/// into the middle of the body, as codegen does.
 #[test]
 #[ignore = "timing gate: CI runs it in release"]
 fn delta_rollback_is_cheaper_than_snapshot_restore() {
@@ -506,11 +507,12 @@ fn delta_rollback_is_cheaper_than_snapshot_restore() {
     use std::time::Instant;
 
     fn attempt(f: &mut lslp_ir::Function) {
-        let (a, b) = (f.body()[0], f.body()[f.body_len() / 2]);
-        for _ in 0..4 {
-            f.push(Opcode::Add, f.ty(a), vec![a, b], InstAttr::None);
+        let mid = f.body_len() / 2;
+        let (a, b) = (f.body()[0], f.body()[mid]);
+        for k in 0..4 {
+            let v = f.create(Opcode::Add, f.ty(a), vec![a, b], InstAttr::None);
+            f.insert_value(mid + 1 + k, v);
         }
-        f.rebuild_body(f.body().to_vec());
     }
     /// Median nanoseconds per attempt over 30 batches of 64.
     fn median_ns(proto: &lslp_ir::Function, delta: bool) -> f64 {

@@ -130,3 +130,44 @@ fn the_larger_cases_reach_the_thousand_merge_regime() {
         assert!(case.cse_merged >= 1000, "groups={} merges {}", case.groups, case.cse_merged);
     }
 }
+
+/// Best of five vectorize-pass times per committed tree, in microseconds,
+/// for a `gen_large`-shaped function with `groups` four-lane store groups.
+fn vectorize_us_per_tree(groups: usize) -> f64 {
+    let p = generate(&GenConfig {
+        seed: 7,
+        groups,
+        lanes: 4,
+        depth: 4,
+        int: true,
+        swap_prob: 0.5,
+        arrays: 3,
+    });
+    let opts = CompileOptions::preset("LSLP").build().expect("LSLP is a valid preset");
+    let mut session = Session::new(opts);
+    (0..5)
+        .map(|_| {
+            let mut module = Module::new();
+            module.functions.push(p.function.clone());
+            let art = session.optimize(module).expect("LSLP compiles generated code");
+            let r = &art.reports[0];
+            let pass = r.pass_timings.iter().find(|t| t.pass == "vectorize").expect("timed");
+            let trees = r.vectorize.trees_vectorized.max(1);
+            pass.time.as_secs_f64() * 1e6 / trees as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// A committed tree costs O(tree plus its users), not O(body): the
+/// vectorizer's time per committed tree on a 32-group function stays
+/// within 2× of an 8-group one (a per-commit whole-body sweep makes it
+/// about 4×, the size ratio).
+#[test]
+#[ignore = "timing gate: CI runs it in release"]
+fn vectorizer_cost_per_tree_does_not_grow_with_the_body() {
+    let small = vectorize_us_per_tree(8);
+    let large = vectorize_us_per_tree(32);
+    let ratio = large / small;
+    println!("vectorize us/tree: 8 groups {small:.1}, 32 groups {large:.1}, ratio {ratio:.2}");
+    assert!(ratio <= 2.0, "per-tree vectorize cost grows with the body: {ratio:.2}x");
+}
