@@ -6,34 +6,45 @@
 //! are side-effecting and never removed here — the vectorizer deletes the
 //! scalar stores it replaces explicitly.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use lslp_ir::{Function, Module, ValueId};
 
-/// Remove side-effect-free instructions with no users, iterating to a fixed
-/// point. Returns the number of instructions removed.
+/// Remove side-effect-free instructions with no users, transitively (an
+/// instruction whose only users are dead is dead too). One use count and
+/// a worklist, so the cost is linear in the body. Returns the number of
+/// instructions removed.
 pub fn run(f: &mut Function) -> usize {
-    let mut removed = 0;
-    loop {
-        let mut used: HashMap<ValueId, usize> = HashMap::new();
-        for (_, _, inst) in f.iter_body() {
-            for &a in &inst.args {
-                *used.entry(a).or_default() += 1;
+    let mut uses = vec![0usize; f.num_values()];
+    let mut in_body = vec![false; f.num_values()];
+    for (_, v, inst) in f.iter_body() {
+        in_body[v.index()] = true;
+        for &a in &inst.args {
+            if let Some(n) = uses.get_mut(a.index()) {
+                *n += 1;
             }
         }
-        let dead: HashSet<ValueId> = f
-            .iter_body()
-            .filter(|(_, id, inst)| {
-                !inst.op.has_side_effect() && used.get(id).copied().unwrap_or(0) == 0
-            })
-            .map(|(_, id, _)| id)
-            .collect();
-        if dead.is_empty() {
-            return removed;
-        }
-        removed += dead.len();
-        f.remove_from_body(&dead);
     }
+    let removable = |f: &Function, v: ValueId| {
+        in_body[v.index()] && !f.inst(v).is_some_and(|i| i.op.has_side_effect())
+    };
+    let mut work: Vec<ValueId> =
+        f.body().iter().copied().filter(|&v| uses[v.index()] == 0 && removable(f, v)).collect();
+    let mut dead: HashSet<ValueId> = HashSet::new();
+    while let Some(v) = work.pop() {
+        if !dead.insert(v) {
+            continue;
+        }
+        for &a in f.args_of(v) {
+            let Some(n) = uses.get_mut(a.index()) else { continue };
+            *n -= 1;
+            if *n == 0 && removable(f, a) && !dead.contains(&a) {
+                work.push(a);
+            }
+        }
+    }
+    f.remove_from_body(&dead);
+    dead.len()
 }
 
 /// Run DCE over every function of a module; returns total removals.

@@ -38,7 +38,7 @@ use crate::codegen::{self, CodegenStats};
 use crate::config::{PackingStrategy, Sabotage, VectorizerConfig};
 use crate::cost::graph_cost;
 use crate::dce;
-use crate::graph::{GraphBuilder, NodeKind};
+use crate::graph::{GraphBuilder, NodeKind, SlpGraph};
 use crate::guard::{self, GuardError, Incident, IncidentKind, RollbackStrategy};
 use crate::pass::{Attempt, VectorizeReport};
 use crate::seeds::{collect_store_chains, StoreChain};
@@ -137,8 +137,8 @@ pub(crate) fn fuel_check(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
 
 /// Phase 1 (enumeration): cost `bundle` at `vf` inside a guard
 /// transaction, recording the [`Attempt`] row, gather-reason histogram,
-/// and any truncation incident. Returns the attempt's cost and its row
-/// index, or `None` when the evaluation itself rolled back.
+/// and any truncation incident. Returns the attempt's cost, its row index
+/// and the costed graph, or `None` when the evaluation itself rolled back.
 fn cost_bundle(
     cx: &mut PackCx<'_>,
     bundle: &[ValueId],
@@ -147,7 +147,7 @@ fn cost_bundle(
     positions: &PositionMap,
     use_map: &UseMap,
     strategy: PackingStrategy,
-) -> Result<Option<(i64, usize)>, GuardError> {
+) -> Result<Option<(i64, usize, SlpGraph)>, GuardError> {
     // Rendered lazily: on evaluation inside the attempt (for the report),
     // on rollback by the guard (for the incident) — never both, never for
     // free.
@@ -186,10 +186,10 @@ fn cost_bundle(
             };
             let truncated = graph.budget_exhausted();
             // Costing only: nothing is mutated here.
-            ((attempt, truncated, reasons), false)
+            ((attempt, truncated, reasons, graph), false)
         },
     )?;
-    let Some((attempt, truncated, reasons)) = eval else {
+    let Some((attempt, truncated, reasons, graph)) = eval else {
         return Ok(None);
     };
     for r in reasons {
@@ -210,7 +210,7 @@ fn cost_bundle(
     let cost = attempt.cost;
     let idx = cx.report.attempts.len();
     cx.report.attempts.push(attempt);
-    Ok(Some((cost, idx)))
+    Ok(Some((cost, idx, graph)))
 }
 
 /// The analyses the packers cost and commit against, all of one function
@@ -231,9 +231,10 @@ impl Analyses {
     }
 }
 
-/// Phase 3 (commit): rebuild the winning graph on the unchanged function
-/// state (builds are deterministic) and generate vector code inside a
-/// guard transaction. `Some(stats)` on commit, `None` on rollback.
+/// Phase 3 (commit): generate vector code for the winning graph inside a
+/// guard transaction. `graph` is the one costed on the current function
+/// state; without it the graph is rebuilt (builds are deterministic).
+/// `Some(stats)` on commit, `None` on rollback.
 ///
 /// Takes the analyses by value and drops them before the commit check,
 /// which brings the manager's copies up to date in place: a reference
@@ -242,6 +243,7 @@ fn commit_pack(
     cx: &mut PackCx<'_>,
     bundle: &[ValueId],
     an: Analyses,
+    graph: Option<SlpGraph>,
 ) -> Result<Option<CodegenStats>, GuardError> {
     let loc = an.addr.loc(bundle[0]).cloned();
     let desc = |f: &Function| loc_desc(f, loc.as_ref(), bundle.len());
@@ -255,12 +257,8 @@ fn commit_pack(
         Some(&desc as guard::SeedDesc),
         &mut cx.report.incidents,
         move |f, am| {
-            let Analyses { addr, positions, uses } = an;
-            let mut graph = GraphBuilder::new(f, cfg, tm, &addr, &positions, &uses).build(bundle);
-            if cfg.throttle {
-                crate::throttle::throttle(f, &mut graph, tm, &uses);
-            }
-            drop((addr, positions, uses));
+            let graph = graph.unwrap_or_else(|| build_graph(f, cfg, tm, &an, bundle));
+            drop(an);
             let stats = codegen::generate_with(f, &graph, tm, am);
             if cfg.sabotage == Sabotage::SwapShuffleMask {
                 crate::pass::sabotage_swap_mask(f);
@@ -268,6 +266,21 @@ fn commit_pack(
             (stats, true)
         },
     )
+}
+
+/// Build (and throttle, when configured) the graph of `bundle`.
+fn build_graph(
+    f: &Function,
+    cfg: &VectorizerConfig,
+    tm: &CostModel,
+    an: &Analyses,
+    bundle: &[ValueId],
+) -> SlpGraph {
+    let mut graph = GraphBuilder::new(f, cfg, tm, &an.addr, &an.positions, &an.uses).build(bundle);
+    if cfg.throttle {
+        crate::throttle::throttle(f, &mut graph, tm, &an.uses);
+    }
+    graph
 }
 
 /// Record a committed pack in the report.
@@ -385,7 +398,7 @@ fn run_greedy(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
                 // top-down) and commit the cheapest per-lane profitable
                 // one — ties go to the wider factor, which keeps the
                 // default target's widest-first decisions intact.
-                let mut candidates: Vec<(usize, Vec<ValueId>, i64, usize)> = Vec::new();
+                let mut candidates: Vec<(usize, Vec<ValueId>, i64, usize, SlpGraph)> = Vec::new();
                 let mut vf = pow2_floor(remaining.min(max_vf));
                 while vf >= 2 {
                     // The deadline must also bound the exploration: a wide
@@ -397,7 +410,7 @@ fn run_greedy(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
                     }
                     let bundle = chain.stores[i..i + vf].to_vec();
                     if tried.insert(bundle.clone()) {
-                        if let Some((cost, idx)) = cost_bundle(
+                        if let Some((cost, idx, graph)) = cost_bundle(
                             cx,
                             &bundle,
                             vf,
@@ -407,7 +420,7 @@ fn run_greedy(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
                             PackingStrategy::Greedy,
                         )? {
                             if cost < cx.cfg.cost_threshold {
-                                candidates.push((vf, bundle, cost, idx));
+                                candidates.push((vf, bundle, cost, idx, graph));
                             }
                         }
                         // A rolled-back evaluation: the seed stays in
@@ -425,9 +438,9 @@ fn run_greedy(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
                     // candidate, which the cross-VF oracle must flag.
                     candidates.reverse();
                 }
-                for (_, bundle, cost, attempt_idx) in &candidates {
-                    if let Some(stats) = commit_pack(cx, bundle, an)? {
-                        mark_committed(cx.report, *attempt_idx, *cost, &stats);
+                for (_, bundle, cost, attempt_idx, graph) in candidates {
+                    if let Some(stats) = commit_pack(cx, &bundle, an, Some(graph))? {
+                        mark_committed(cx.report, attempt_idx, cost, &stats);
                         continue 'restart;
                     }
                     // Rolled back: fall through to the next-best VF.
@@ -596,7 +609,7 @@ fn run_global_plan(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
                     }
                     let bundle = chain.stores[start..start + vf].to_vec();
                     if tried.insert(bundle.clone()) {
-                        if let Some((cost, idx)) = cost_bundle(
+                        if let Some((cost, idx, _)) = cost_bundle(
                             cx,
                             &bundle,
                             vf,
@@ -627,7 +640,7 @@ fn run_global_plan(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
             // next round plans against fresh analyses (positions and uses
             // shift under the committed rewrite).
             for pick in plan {
-                if let Some(stats) = commit_pack(cx, &pick.bundle, an)? {
+                if let Some(stats) = commit_pack(cx, &pick.bundle, an, None)? {
                     mark_committed(cx.report, pick.attempt_idx, pick.cost, &stats);
                     continue 'restart;
                 }
