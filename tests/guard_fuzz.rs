@@ -329,6 +329,171 @@ fn delta_rollback_is_a_perfect_undo() {
 }
 
 // ---------------------------------------------------------------------------
+// Incremental analyses: catching up from the delta log equals recomputing
+// ---------------------------------------------------------------------------
+
+/// Apply `count` pseudo-random edits of the kinds a vectorizer commit
+/// makes, keeping every operand defined earlier in the body (so the
+/// address analysis never meets a cycle): new arithmetic, loads and
+/// stores spliced in, payload rewrites (address indices included), use
+/// replacement, removal of unused instructions, and the creation of
+/// orphans.
+fn random_commit_edits(f: &mut lslp_ir::Function, seed: u64, count: usize) {
+    use lslp_ir::{InstAttr, Opcode, Type, ValueId};
+    let mut s = seed | 1;
+    for _ in 0..count {
+        let len = f.body_len();
+        if len < 2 {
+            return;
+        }
+        let at = 1 + (next_rand(&mut s) % (len as u64 - 1)) as usize;
+        // An i64 value defined before body position `at`, else a param.
+        let mut earlier = |s: &mut u64, want: Type| -> Option<ValueId> {
+            let cands: Vec<ValueId> = f
+                .params()
+                .iter()
+                .copied()
+                .filter(|&v| f.ty(v) == want)
+                .chain(f.body()[..at].iter().copied().filter(|&v| f.ty(v) == want))
+                .collect();
+            (!cands.is_empty()).then(|| cands[(next_rand(s) % cands.len() as u64) as usize])
+        };
+        match next_rand(&mut s) % 7 {
+            0 => {
+                if let (Some(a), Some(b)) = (earlier(&mut s, Type::I64), earlier(&mut s, Type::I64))
+                {
+                    f.insert(at, Opcode::Add, Type::I64, vec![a, b], InstAttr::None);
+                }
+            }
+            1 => {
+                if let Some(p) = earlier(&mut s, Type::PTR) {
+                    let i = earlier(&mut s, Type::I64).unwrap_or_else(|| f.const_i64(1));
+                    let g =
+                        f.insert(at, Opcode::Gep, Type::PTR, vec![p, i], InstAttr::ElemBytes(8));
+                    let l = f.create(Opcode::Load, Type::I64, vec![g], InstAttr::None);
+                    f.insert_value(at + 1, l);
+                    if next_rand(&mut s) % 2 == 0 {
+                        f.insert(at + 2, Opcode::Store, Type::Void, vec![l, g], InstAttr::None);
+                    }
+                }
+            }
+            2 => {
+                // Rewrite an operand of a body instruction (a gep's index
+                // moves every access through it) to an earlier value.
+                let v = f.body()[at];
+                let k = next_rand(&mut s);
+                let Some(inst) = f.inst(v) else { continue };
+                if inst.args.is_empty() {
+                    continue;
+                }
+                let idx = (k % inst.args.len() as u64) as usize;
+                let want = f.ty(inst.args[idx]);
+                if let Some(r) = earlier(&mut s, want) {
+                    f.inst_mut(v).expect("body instruction").args[idx] = r;
+                }
+            }
+            3 => {
+                let old = f.body()[at];
+                if let Some(new) = earlier(&mut s, f.ty(old)) {
+                    if new != old {
+                        f.replace_uses(old, new);
+                    }
+                }
+            }
+            4 => {
+                // Remove an unused instruction (or a store).
+                let uses = f.use_map();
+                if let Some(i) = (at..len).find(|&i| uses.num_uses(f.body()[i]) == 0) {
+                    f.remove_at(i);
+                }
+            }
+            5 => {
+                let uses = f.use_map();
+                let dead: std::collections::HashSet<ValueId> =
+                    f.body().iter().copied().filter(|&v| uses.num_uses(v) == 0).take(3).collect();
+                f.remove_from_body(&dead);
+            }
+            _ => {
+                let c = f.const_i64((next_rand(&mut s) % 5) as i64);
+                f.create(Opcode::Add, Type::I64, vec![c, c], InstAttr::None);
+            }
+        }
+    }
+}
+
+/// Compare the manager's (caught-up) positions, uses and address analysis
+/// with fresh ones.
+fn analyses_match(
+    f: &lslp_ir::Function,
+    am: &mut lslp_analysis::AnalysisManager,
+) -> Result<(), String> {
+    let positions = am.positions(f);
+    if !positions.orders(f.body()) {
+        return Err("positions do not order the body".into());
+    }
+    let uses = am.use_map(f);
+    let fresh = f.use_map();
+    for i in 0..f.num_values() {
+        let v = lslp_ir::ValueId::from_raw(i as u32);
+        if uses.uses(v) != fresh.uses(v) {
+            return Err(format!("uses of {v}: {:?} != fresh {:?}", uses.uses(v), fresh.uses(v)));
+        }
+    }
+    if *am.addr_info(f) != lslp_analysis::AddrInfo::analyze(f) {
+        return Err("address analysis differs from a fresh one".into());
+    }
+    Ok(())
+}
+
+/// One trial: random commit/rollback rounds inside a pass-wide
+/// transaction, checking the manager after each round. Returns the number
+/// of catch-ups the manager made.
+fn incremental_analyses_check(gen_cfg: &GenConfig) -> Result<u64, String> {
+    let mut f = generate(gen_cfg).function;
+    let mut am = lslp_analysis::AnalysisManager::new();
+    let _anchor = f.begin_txn();
+    analyses_match(&f, &mut am)?;
+    let mut s = gen_cfg.seed | 1;
+    for round in 0..12 {
+        let mark = f.begin_txn();
+        let count = 1 + (next_rand(&mut s) % 4) as usize;
+        random_commit_edits(&mut f, next_rand(&mut s), count);
+        analyses_match(&f, &mut am).map_err(|e| format!("round {round}, before close: {e}"))?;
+        if next_rand(&mut s) % 3 == 0 {
+            f.rollback_txn(mark);
+        } else {
+            f.commit_txn(mark);
+        }
+        analyses_match(&f, &mut am).map_err(|e| format!("round {round}, after close: {e}"))?;
+    }
+    Ok(am.cache_stats().updates)
+}
+
+#[test]
+fn incrementally_maintained_analyses_equal_recomputed_ones() {
+    let mut updates = 0;
+    for int in [true, false] {
+        let mix = fnv(if int { "incremental/int" } else { "incremental/float" });
+        for seed in 0..SEEDS_PER_CONFIG {
+            let gen_cfg = GenConfig {
+                seed: seed.wrapping_mul(0x9e3779b97f4a7c15) ^ mix,
+                groups: 3 + (seed % 3) as usize,
+                lanes: 4,
+                depth: 2 + (seed % 3) as u32,
+                int,
+                swap_prob: 0.5,
+                arrays: 1 + (seed % 3) as usize,
+            };
+            match incremental_analyses_check(&gen_cfg) {
+                Ok(n) => updates += n,
+                Err(e) => panic!("incremental analyses diverged (gen {gen_cfg:?}): {e}"),
+            }
+        }
+    }
+    assert!(updates > 1000, "the log catch-up path must be exercised ({updates} updates)");
+}
+
+// ---------------------------------------------------------------------------
 // Delta-undo property over the CFG mutation surface
 // ---------------------------------------------------------------------------
 
