@@ -135,6 +135,9 @@ impl Default for ServerConfig {
 struct Job {
     req: CompileRequest,
     done: net::Completion,
+    /// When the request's frame was decoded: a miss's latency covers the
+    /// queue wait as well as the compile.
+    decoded: Instant,
 }
 
 /// State shared by the acceptor, connection threads, workers, and the
@@ -314,7 +317,10 @@ fn spawn_worker(shared: &Arc<Shared>) -> (Arc<WorkerState>, JoinHandle<()>) {
     let handle = {
         let shared = Arc::clone(shared);
         let state = Arc::clone(&state);
-        std::thread::spawn(move || worker_loop(&shared, &state))
+        std::thread::Builder::new()
+            .name("lslpd-worker".into())
+            .spawn(move || worker_loop(&shared, &state))
+            .expect("spawn a compile worker")
     };
     (state, handle)
 }
@@ -420,6 +426,7 @@ fn dispatch_compile(
     shared: &Shared,
     req: CompileRequest,
     done: net::Completion,
+    decoded: Instant,
 ) -> Result<(), String> {
     // The queue closes in the SHUTDOWN handler; check the flag too so
     // work arriving after the SHUTDOWN response is refused
@@ -428,7 +435,7 @@ fn dispatch_compile(
         done.disarm();
         return Err(Response::err_line(ErrorKind::Shutdown, "server is draining"));
     }
-    match shared.queue.push(Job { req, done }) {
+    match shared.queue.push(Job { req, done, decoded }) {
         Ok(()) => Ok(()),
         Err(PushError::Full(job)) => {
             job.done.disarm();
@@ -545,9 +552,15 @@ fn render_stats_payload(shared: &Shared) -> String {
     metrics::render_stats(&registry, &shared.latency, &extra)
 }
 
+/// The nice value compile workers run at. Batch compiles yield the CPU to
+/// the event loop (and to co-located normal-priority processes), so a
+/// cache hit's wakeups do not wait behind a compile.
+const WORKER_NICE: i32 = 10;
+
 /// One worker: drains the queue until close, keeping its heartbeat block
-/// current for the watchdog.
+/// current for the watchdog. Runs at [`WORKER_NICE`].
 fn worker_loop(shared: &Shared, state: &WorkerState) {
+    net::sys::lower_thread_priority(WORKER_NICE);
     while let Some(job) = shared.queue.pop() {
         state.epoch.fetch_add(1, Ordering::Relaxed);
         state
@@ -559,7 +572,7 @@ fn worker_loop(shared: &Shared, state: &WorkerState) {
             // internal error), and the watchdog respawns this worker.
             chaos.maybe_panic_worker();
         }
-        let response = compile_request(&job.req, shared);
+        let response = compile_request(&job.req, shared, job.decoded);
         state.busy_since_ms.store(0, Ordering::Relaxed);
         state.epoch.fetch_add(1, Ordering::Relaxed);
         // A vanished connection is not a worker error: the loop discards
@@ -617,9 +630,9 @@ fn probe_cache(shared: &Shared, req: &CompileRequest, start: Instant) -> Result<
 }
 
 /// Serve one compile request: cache lookup, [`Session`] compile on miss,
-/// tiered cache fill, metrics.
-fn compile_request(req: &CompileRequest, shared: &Shared) -> String {
-    let start = Instant::now();
+/// tiered cache fill, metrics. Latency is timed from `start`, when the
+/// request was decoded, so it includes the wait in the queue.
+fn compile_request(req: &CompileRequest, shared: &Shared, start: Instant) -> String {
     let key = match probe_cache(shared, req, start) {
         Ok(hit) => return hit,
         Err(key) => key,
@@ -757,7 +770,7 @@ mod tests {
     }
 
     fn run(req: &CompileRequest, shared: &Shared) -> Response {
-        Response::parse(&compile_request(req, shared)).unwrap()
+        Response::parse(&compile_request(req, shared, Instant::now())).unwrap()
     }
 
     #[test]
@@ -943,8 +956,13 @@ mod tests {
         let r = control("SHUTDOWN", &s);
         assert_eq!(r.payload, "draining");
         assert!(s.queue.is_closed(), "SHUTDOWN closes the queue in its own handler");
-        let refused = dispatch_compile(&s, CompileRequest::new(SRC), net::detached_completion())
-            .expect_err("compiles are refused while draining");
+        let refused = dispatch_compile(
+            &s,
+            CompileRequest::new(SRC),
+            net::detached_completion(),
+            Instant::now(),
+        )
+        .expect_err("compiles are refused while draining");
         let again = Response::parse(&refused).unwrap();
         assert_eq!(again.error, Some(ErrorKind::Shutdown));
     }
@@ -1010,7 +1028,7 @@ mod tests {
                         let src = format!(
                             "kernel k{n}(f64* A, f64* B, i64 i) {{\n  A[i+0] = B[i+0] + {n}.0;\n  A[i+1] = B[i+1] + {n}.0;\n}}"
                         );
-                        let r = Response::parse(&compile_request(&CompileRequest::new(&src), s))
+                        let r = Response::parse(&compile_request(&CompileRequest::new(&src), s, Instant::now()))
                             .unwrap();
                         assert!(r.ok, "{r:?}");
                     }

@@ -422,6 +422,7 @@ impl EventLoop {
     /// Handle one decoded request line. Returns `false` when the
     /// connection was killed (chaos or delivery fault).
     fn process_frame(&mut self, idx: usize, line: &str) -> bool {
+        let decoded = Instant::now();
         if self.shared.chaos.as_ref().is_some_and(|c| c.drop_read()) {
             // Injected connection reset after the request was decoded.
             self.close(idx);
@@ -442,7 +443,7 @@ impl EventLoop {
             }
         };
         match request {
-            Request::Compile(req) => self.dispatch(idx, req),
+            Request::Compile(req) => self.dispatch(idx, req, decoded),
             control => {
                 if let Request::Hello { proto } = control {
                     if (1..=PROTOCOL_VERSION).contains(&proto) {
@@ -465,8 +466,9 @@ impl EventLoop {
         serial
     }
 
-    /// Route one `COMPILE` to the worker queue (or answer its failure).
-    fn dispatch(&mut self, idx: usize, req: protocol::CompileRequest) -> bool {
+    /// Route one `COMPILE`, decoded at `decoded`, to the worker queue (or
+    /// answer its failure).
+    fn dispatch(&mut self, idx: usize, req: protocol::CompileRequest, decoded: Instant) -> bool {
         let route = match req.tag.clone() {
             Some(tag) => {
                 let slot = self.slots[idx].as_mut().expect("dispatch on a live connection");
@@ -508,7 +510,7 @@ impl EventLoop {
             waker: self.waker.clone(),
             wake_pending: Arc::clone(&self.wake_pending),
         };
-        match crate::dispatch_compile(&self.shared, req, done) {
+        match crate::dispatch_compile(&self.shared, req, done, decoded) {
             Ok(()) => {
                 let slot = self.slots[idx].as_mut().expect("slot survives dispatch");
                 slot.conn.inflight += 1;

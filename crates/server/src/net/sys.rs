@@ -1,13 +1,15 @@
-//! OS readiness primitives for the event loop: a thin `poll(2)` wrapper
-//! and a self-wakeup channel.
+//! OS primitives for the daemon: a thin `poll(2)` wrapper and a
+//! self-wakeup channel for the event loop, and a per-thread priority drop
+//! for the compile workers.
 //!
 //! The build environment has no package registry, so there is no `mio` /
-//! `libc` to lean on. On Unix we declare the two-line `poll(2)` ABI
-//! ourselves (every Rust binary already links libc on these platforms)
-//! — the single `unsafe` block in the whole workspace. On other
-//! platforms [`poll_wait`] degrades to a bounded sleep that reports every
-//! descriptor ready; all socket I/O is nonblocking, so the fallback costs
-//! spurious `WouldBlock` syscalls, never correctness.
+//! `libc` to lean on. We declare the `poll(2)` and `setpriority(2)` ABIs
+//! ourselves (every Rust binary already links libc on these platforms);
+//! their two `unsafe` calls, both here, are the only ones in the
+//! workspace. Off Unix [`poll_wait`] degrades to a bounded sleep that
+//! reports every descriptor ready; all socket I/O is nonblocking, so the
+//! fallback costs spurious `WouldBlock` syscalls, never correctness. Off
+//! Linux [`lower_thread_priority`] does nothing.
 
 /// One descriptor's registered interest and, after [`poll_wait`], its
 /// readiness.
@@ -168,6 +170,31 @@ mod unix_impl {
         }
     }
 }
+
+/// Raise the calling thread's nice value to `nice` (lower its CPU
+/// priority). On Linux, `setpriority(PRIO_PROCESS, 0, ..)` applies to the
+/// calling thread only, so the rest of the process keeps its priority.
+/// Failure is ignored: raising one's own nice value needs no privilege,
+/// and a thread left at its old priority is still correct.
+#[cfg(target_os = "linux")]
+pub fn lower_thread_priority(nice: i32) {
+    extern "C" {
+        // int setpriority(int which, id_t who, int prio); id_t is u32.
+        fn setpriority(
+            which: std::os::raw::c_int,
+            who: u32,
+            prio: std::os::raw::c_int,
+        ) -> std::os::raw::c_int;
+    }
+    const PRIO_PROCESS: std::os::raw::c_int = 0;
+    // SAFETY: a plain syscall wrapper taking integers only; `who = 0`
+    // names the calling thread.
+    let _ = unsafe { setpriority(PRIO_PROCESS, 0, nice) };
+}
+
+/// Off Linux, thread priorities are left alone.
+#[cfg(not(target_os = "linux"))]
+pub fn lower_thread_priority(_nice: i32) {}
 
 #[cfg(not(unix))]
 pub use portable_impl::{poll_wait, RawFd, Waker};

@@ -247,3 +247,38 @@ fn chaos_daemon_killed_mid_run_restarts_warm_and_correct() {
     assert!(child.wait().expect("wait for drained lslpd").success());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The compile workers run at nice 10 so cache hits, answered on the
+/// event loop, do not wait for a CPU behind a compile; the event loop
+/// (the main thread) keeps nice 0.
+#[cfg(target_os = "linux")]
+#[test]
+fn compile_workers_run_at_nice_ten_and_the_event_loop_at_zero() {
+    let dir = std::env::temp_dir().join(format!("lslp-nice-e2e-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut child, addr) = spawn_daemon(&dir, &[]);
+    // A compile round-trip: the workers are up and have entered their loop.
+    assert!(connect(&addr).compile(&request(SRC_A)).unwrap().ok);
+    let pid = child.id();
+    let mut workers = 0;
+    for task in std::fs::read_dir(format!("/proc/{pid}/task")).expect("task list") {
+        let task = task.unwrap().path();
+        let comm = std::fs::read_to_string(task.join("comm")).unwrap();
+        let stat = std::fs::read_to_string(task.join("stat")).unwrap();
+        // Fields after the parenthesised command start at field 3; the
+        // nice value is field 19.
+        let after = &stat[stat.rfind(')').expect("stat names the command") + 2..];
+        let nice: i64 = after.split(' ').nth(19 - 3).unwrap().parse().unwrap();
+        let tid: u32 = task.file_name().unwrap().to_str().unwrap().parse().unwrap();
+        if comm.trim() == "lslpd-worker" {
+            workers += 1;
+            assert_eq!(nice, 10, "worker thread {tid} runs at nice {nice}");
+        } else if tid == pid {
+            assert_eq!(nice, 0, "the main (event-loop) thread runs at nice {nice}");
+        }
+    }
+    assert_eq!(workers, 2, "both compile workers are named lslpd-worker");
+    child.kill().expect("SIGKILL lslpd");
+    child.wait().expect("reap lslpd");
+    let _ = std::fs::remove_dir_all(&dir);
+}

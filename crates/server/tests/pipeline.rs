@@ -190,6 +190,32 @@ fn untagged_burst_keeps_strict_fifo_order() {
     daemon.join().unwrap().unwrap();
 }
 
+/// A miss's `us=` covers its wait in the queue, not just its compile: with
+/// one worker, a small kernel pipelined behind a heavy one waits for the
+/// heavy compile, so it reports more time than the heavy request itself.
+#[test]
+fn miss_latency_includes_the_queue_wait() {
+    let (addr, daemon) = Server::spawn(ServerConfig { workers: 1, ..test_config() }).unwrap();
+    let heavy = big_kernel("qwait", 64);
+    let mut first = CompileRequest { timeout_ms: Some(60_000), ..CompileRequest::new(&heavy) };
+    first.tag = Some("heavy".into());
+    let mut second = CompileRequest::new(&small_kernel(900));
+    second.tag = Some("small".into());
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+    let responses = burst(&mut stream, &[first.to_line(), second.to_line()], 2);
+    let us = |tag: &str| -> u64 {
+        let r = responses.iter().find(|r| r.tag() == Some(tag)).expect("both tags answered");
+        assert!(r.ok && r.field("cached") == Some("miss"), "{r:?}");
+        r.field("us").and_then(|v| v.parse().ok()).expect("us= on every OK")
+    };
+    let (heavy_us, small_us) = (us("heavy"), us("small"));
+    assert!(small_us > heavy_us, "queued miss reports {small_us} us, the heavy one {heavy_us} us");
+    let mut ctl = Client::connect(addr).unwrap();
+    ctl.shutdown().unwrap();
+    daemon.join().unwrap().unwrap();
+}
+
 #[test]
 fn duplicate_inflight_tag_is_rejected_typed_and_first_still_answers() {
     let (addr, daemon) = Server::spawn(test_config()).unwrap();
