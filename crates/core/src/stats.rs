@@ -93,10 +93,20 @@ impl Statistics {
             .collect()
     }
 
-    /// Fold another registry's counters into this one.
+    /// Fold another registry's counters into this one: `other` is copied
+    /// under its own lock, which is released before this registry's lock
+    /// is taken once for the whole fold (so `s.absorb(&s)` is fine, and a
+    /// reader of this registry waits for one fold, not one per row).
     pub fn absorb(&self, other: &Statistics) {
-        for row in other.rows() {
-            self.add(&row.pass, &row.counter, row.value);
+        let theirs = other.cells().clone();
+        let mut mine = self.cells();
+        for (pass, cells) in theirs {
+            let row = mine.entry(pass).or_default();
+            for (counter, n) in cells {
+                if n > 0 {
+                    *row.entry(counter).or_insert(0) += n;
+                }
+            }
         }
     }
 }
@@ -132,6 +142,20 @@ mod tests {
         let rows = s.rows();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].pass, "cse", "sorted by pass");
+    }
+
+    #[test]
+    fn absorbing_itself_doubles_every_counter() {
+        let s = Statistics::new();
+        s.add("cse", "insts-merged", 2);
+        s.add("server", "cache-hits", 5);
+        s.absorb(&s);
+        assert_eq!(s.get("cse", "insts-merged"), 4);
+        assert_eq!(s.get("server", "cache-hits"), 10);
+        let other = Statistics::new();
+        other.add("dce", "insts-removed", 1);
+        s.absorb(&other);
+        assert_eq!(s.rows().len(), 3);
     }
 
     #[test]
