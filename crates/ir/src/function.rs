@@ -302,8 +302,10 @@ impl Function {
     }
 
     /// Close the transaction opened at `mark`, keeping its mutations. When
-    /// the outermost transaction commits, the log is discarded (a committed
-    /// attempt costs nothing beyond the mutations themselves).
+    /// the outermost transaction commits, the log is discarded and its
+    /// memory released (a committed attempt costs nothing beyond the
+    /// mutations themselves, and a function kept after a large pass does
+    /// not hold on to that pass's log).
     ///
     /// # Panics
     ///
@@ -313,7 +315,7 @@ impl Function {
         debug_assert!(mark.len <= self.log.len(), "stale transaction mark");
         self.txn_depth -= 1;
         if self.txn_depth == 0 {
-            self.log.clear();
+            self.log = Vec::new();
         }
     }
 
@@ -334,7 +336,7 @@ impl Function {
         self.epoch = mark.epoch;
         self.txn_depth -= 1;
         if self.txn_depth == 0 {
-            self.log.clear();
+            self.log = Vec::new();
         }
     }
 
