@@ -348,7 +348,7 @@ fn random_commit_edits(f: &mut lslp_ir::Function, seed: u64, count: usize) {
         }
         let at = 1 + (next_rand(&mut s) % (len as u64 - 1)) as usize;
         // An i64 value defined before body position `at`, else a param.
-        let mut earlier = |s: &mut u64, want: Type| -> Option<ValueId> {
+        let earlier = |s: &mut u64, want: Type| -> Option<ValueId> {
             let cands: Vec<ValueId> = f
                 .params()
                 .iter()
@@ -372,7 +372,7 @@ fn random_commit_edits(f: &mut lslp_ir::Function, seed: u64, count: usize) {
                         f.insert(at, Opcode::Gep, Type::PTR, vec![p, i], InstAttr::ElemBytes(8));
                     let l = f.create(Opcode::Load, Type::I64, vec![g], InstAttr::None);
                     f.insert_value(at + 1, l);
-                    if next_rand(&mut s) % 2 == 0 {
+                    if next_rand(&mut s).is_multiple_of(2) {
                         f.insert(at + 2, Opcode::Store, Type::Void, vec![l, g], InstAttr::None);
                     }
                 }
@@ -459,7 +459,7 @@ fn incremental_analyses_check(gen_cfg: &GenConfig) -> Result<u64, String> {
         let count = 1 + (next_rand(&mut s) % 4) as usize;
         random_commit_edits(&mut f, next_rand(&mut s), count);
         analyses_match(&f, &mut am).map_err(|e| format!("round {round}, before close: {e}"))?;
-        if next_rand(&mut s) % 3 == 0 {
+        if next_rand(&mut s).is_multiple_of(3) {
             f.rollback_txn(mark);
         } else {
             f.commit_txn(mark);
