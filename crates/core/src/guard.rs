@@ -348,8 +348,7 @@ impl GuardInstrumentation {
     ///
     /// Commits under [`RollbackStrategy::Delta`] verify incrementally:
     /// only the instructions the transaction touched and their users are
-    /// checked, against positions and uses computed afresh (see
-    /// [`GuardInstrumentation::after_pass_in`] to take them from a cache).
+    /// checked, against positions and uses computed afresh.
     pub fn after_pass(
         &mut self,
         pass: &str,
@@ -364,7 +363,7 @@ impl GuardInstrumentation {
     /// uses an incremental verification needs from `am`, which brings its
     /// cached ones up to date from the delta log: the commit then costs
     /// O(touched instructions), and the caller's next queries hit.
-    pub fn after_pass_in(
+    fn after_pass_in(
         &mut self,
         pass: &str,
         seed: Option<SeedDesc>,
@@ -446,11 +445,7 @@ impl GuardInstrumentation {
     /// [`GuardInstrumentation::transact`] with an analysis manager, which
     /// `body` may use and the commit check reads (see
     /// [`GuardInstrumentation::after_pass_in`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`GuardInstrumentation::transact`].
-    pub fn transact_in<T>(
+    fn transact_in<T>(
         &mut self,
         pass: &str,
         seed: Option<SeedDesc>,
@@ -545,11 +540,7 @@ pub fn run_guarded<T>(
 /// [`run_guarded`] with an analysis manager that `body` may use and the
 /// commit check reads, so verifying a commit costs O(touched
 /// instructions) and leaves `am` up to date for the caller.
-///
-/// # Errors
-///
-/// Returns [`GuardError`] carrying the incident in strict mode.
-pub fn run_guarded_in<T>(
+pub(crate) fn run_guarded_in<T>(
     f: &mut Function,
     am: &mut AnalysisManager,
     policy: GuardPolicy,

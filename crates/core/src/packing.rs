@@ -26,9 +26,8 @@
 //! output rather than stalling.
 
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
-
 use std::rc::Rc;
+use std::time::Instant;
 
 use lslp_analysis::{AddrInfo, AnalysisManager, MemLoc, PositionMap};
 use lslp_ir::{Function, Opcode, Type, UseMap, ValueId};
@@ -143,11 +142,10 @@ fn cost_bundle(
     cx: &mut PackCx<'_>,
     bundle: &[ValueId],
     vf: usize,
-    addr: &AddrInfo,
-    positions: &PositionMap,
-    use_map: &UseMap,
+    an: &Analyses,
     strategy: PackingStrategy,
 ) -> Result<Option<(i64, usize, SlpGraph)>, GuardError> {
+    let addr = &*an.addr;
     // Rendered lazily: on evaluation inside the attempt (for the report),
     // on rollback by the guard (for the incident) — never both, never for
     // free.
@@ -161,11 +159,8 @@ fn cost_bundle(
         Some(&desc as guard::SeedDesc),
         &mut cx.report.incidents,
         |f| {
-            let mut graph = GraphBuilder::new(f, cfg, tm, addr, positions, use_map).build(bundle);
-            if cfg.throttle {
-                crate::throttle::throttle(f, &mut graph, tm, use_map);
-            }
-            let cost = graph_cost(f, &graph, tm, use_map);
+            let graph = build_graph(f, cfg, tm, an, bundle);
+            let cost = graph_cost(f, &graph, tm, &an.uses);
             let gathers = graph.nodes().iter().filter(|n| !n.is_vectorizable()).count();
             let reasons: Vec<String> = graph
                 .nodes()
@@ -410,15 +405,9 @@ fn run_greedy(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
                     }
                     let bundle = chain.stores[i..i + vf].to_vec();
                     if tried.insert(bundle.clone()) {
-                        if let Some((cost, idx, graph)) = cost_bundle(
-                            cx,
-                            &bundle,
-                            vf,
-                            &an.addr,
-                            &an.positions,
-                            &an.uses,
-                            PackingStrategy::Greedy,
-                        )? {
+                        if let Some((cost, idx, graph)) =
+                            cost_bundle(cx, &bundle, vf, &an, PackingStrategy::Greedy)?
+                        {
                             if cost < cx.cfg.cost_threshold {
                                 candidates.push((vf, bundle, cost, idx, graph));
                             }
@@ -609,15 +598,9 @@ fn run_global_plan(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
                     }
                     let bundle = chain.stores[start..start + vf].to_vec();
                     if tried.insert(bundle.clone()) {
-                        if let Some((cost, idx, _)) = cost_bundle(
-                            cx,
-                            &bundle,
-                            vf,
-                            &an.addr,
-                            &an.positions,
-                            &an.uses,
-                            PackingStrategy::Global,
-                        )? {
+                        if let Some((cost, idx, _)) =
+                            cost_bundle(cx, &bundle, vf, &an, PackingStrategy::Global)?
+                        {
                             if cost < cx.cfg.cost_threshold {
                                 costed.insert(bundle.clone(), (cost, idx));
                             }

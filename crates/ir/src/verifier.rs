@@ -875,7 +875,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_verify_catches_moves_and_removals() {
+    fn incremental_verify_always_checks_structure() {
         // An untouched instruction becomes invalid when its operand moves
         // after it or leaves the body; the move and the removal are
         // touches, and their users get checked.
