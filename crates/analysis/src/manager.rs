@@ -295,13 +295,14 @@ impl AnalysisManager {
             updated.push(AnalysisKind::Addr);
         }
         for kind in updated {
-            let stats = if renumbered && kind == AnalysisKind::Positions {
-                [&mut self.total.misses, &mut self.per_kind[kind.index()].misses]
-            } else {
-                [&mut self.total.updates, &mut self.per_kind[kind.index()].updates]
-            };
-            for n in stats {
-                *n += 1;
+            // Renumbered positions were computed afresh: a miss.
+            let recomputed = renumbered && kind == AnalysisKind::Positions;
+            for stats in [&mut self.total, &mut self.per_kind[kind.index()]] {
+                if recomputed {
+                    stats.misses += 1;
+                } else {
+                    stats.updates += 1;
+                }
             }
         }
         true
@@ -413,6 +414,27 @@ mod tests {
             CacheStats { hits: 3, misses: 3, invalidations: 0, updates: 0 }
         );
         assert_eq!(am.cache_stats_for(AnalysisKind::Addr).hits, 1);
+    }
+
+    #[test]
+    fn edits_inside_a_transaction_are_caught_up() {
+        use lslp_ir::{InstAttr, Opcode};
+        let mut f = kernel();
+        let mut am = AnalysisManager::new();
+        let mark = f.begin_txn();
+        let _ = (am.addr_info(&f), am.positions(&f), am.use_map(&f));
+        let x = f.params()[1];
+        let y = f.push(Opcode::Add, Type::I64, vec![x, x], InstAttr::None);
+        let positions = am.positions(&f);
+        assert!(positions.orders(f.body()));
+        assert_eq!(am.use_map(&f).num_uses(x), 3, "the new add's two uses join the load's");
+        let stats = am.cache_stats();
+        assert_eq!((stats.misses, stats.updates, stats.invalidations), (3, 3, 0));
+        assert!(positions.contains(y));
+        // A rollback below the cursor leaves nothing to replay: recompute.
+        f.rollback_txn(mark);
+        assert!(!am.positions(&f).contains(y));
+        assert_eq!(am.cache_stats().invalidations, 1);
     }
 
     #[test]
