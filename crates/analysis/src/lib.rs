@@ -29,6 +29,8 @@ pub mod alias;
 pub mod manager;
 pub mod memdep;
 pub mod sched;
+#[cfg(test)]
+mod test_rng;
 
 pub use addr::{AddrExpr, AddrInfo, LinExpr, MemLoc};
 pub use alias::may_alias;
@@ -36,4 +38,4 @@ pub use manager::{
     AnalysisKind, AnalysisManager, CacheStats, PositionMap, PreservedAnalyses, ANALYSIS_KINDS,
 };
 pub use memdep::MemDep;
-pub use sched::{bundle_hoistable, bundle_schedulable};
+pub use sched::{bundle_hoistable, bundle_schedulable, load_placement, Placement};

@@ -14,7 +14,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use lslp_analysis::{bundle_hoistable, bundle_schedulable, AddrInfo};
+pub use lslp_analysis::Placement;
+use lslp_analysis::{bundle_schedulable, load_placement, AddrInfo};
 use lslp_ir::{Function, Opcode, PositionMap, UseMap, ValueId};
 use lslp_target::TargetSpec;
 
@@ -74,15 +75,6 @@ impl fmt::Display for GatherReason {
         };
         f.write_str(s)
     }
-}
-
-/// Where a vector memory node is emitted relative to its scalar members.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Placement {
-    /// At the last member's position (members sink down).
-    Sink,
-    /// At the first member's position (load-only; members hoist up).
-    Hoist,
 }
 
 /// The payload of a graph node.
@@ -398,14 +390,10 @@ impl<'a> GraphBuilder<'a> {
         if !consecutive {
             return self.gather(bundle, GatherReason::NotConsecutiveLoads);
         }
-        let placement = if bundle_schedulable(self.f, self.positions, self.addr, &bundle) {
-            Placement::Sink
-        } else if bundle_hoistable(self.f, self.positions, self.addr, &bundle) {
-            Placement::Hoist
-        } else {
-            return self.gather(bundle, GatherReason::NotSchedulable);
-        };
-        self.reserve(bundle, NodeKind::Load { placement })
+        match load_placement(self.f, self.positions, self.addr, &bundle) {
+            Some(placement) => self.reserve(bundle, NodeKind::Load { placement }),
+            None => self.gather(bundle, GatherReason::NotSchedulable),
+        }
     }
 
     fn build_store(&mut self, bundle: Vec<ValueId>, depth: u32) -> NodeId {
@@ -446,10 +434,10 @@ impl<'a> GraphBuilder<'a> {
             self.cfg.fast_math,
         );
         let k = chains[0].insts.len();
-        // Internal chain members must also be pairwise schedulable across
-        // lanes; the root check above covers them transitively because each
-        // internal value feeds its lane root, but re-check defensively when
-        // chains are non-trivial.
+        // Chain internals need no schedulability check of their own: each
+        // has exactly one use, its chain parent (`multinode::absorbable`),
+        // so any cross-lane dependence on one passes through its lane root,
+        // and the root check above catches it.
         let lane_operands: Vec<Vec<ValueId>> = chains.iter().map(|c| c.operands.clone()).collect();
         let kind = if k > 1 { NodeKind::MultiNode { op, chains } } else { NodeKind::Vector { op } };
         let id = self.reserve(bundle, kind);

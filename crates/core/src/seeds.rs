@@ -59,8 +59,9 @@ pub fn collect_store_chains(f: &Function, addr: &AddrInfo) -> Vec<StoreChain> {
         for (off, pos, id) in members {
             match last_off {
                 Some(prev) if off == prev => {
-                    // Duplicate address (two stores to the same slot): keep
-                    // the later one out; end the run here to stay sound.
+                    // Duplicate address (two stores to the same slot): end
+                    // the run here to stay sound, and start the next run
+                    // with the later store.
                     flush(&mut chains, &mut run, key.bytes);
                     run.push((pos, id));
                 }
