@@ -34,8 +34,6 @@ mod test_rng;
 
 pub use addr::{AddrExpr, AddrInfo, LinExpr, MemLoc};
 pub use alias::may_alias;
-pub use manager::{
-    AnalysisKind, AnalysisManager, CacheStats, PositionMap, PreservedAnalyses, ANALYSIS_KINDS,
-};
+pub use manager::{AnalysisKind, AnalysisManager, CacheStats, PositionMap, ANALYSIS_KINDS};
 pub use memdep::MemDep;
 pub use sched::{bundle_hoistable, bundle_schedulable, load_placement, Placement};

@@ -4,21 +4,17 @@
 //! ask the manager for an analysis instead of computing it; the manager
 //! computes on first request and serves cached results until the function's
 //! mutation epoch ([`lslp_ir::Function::epoch`]) moves. Because epochs are
-//! globally unique and preserved by `Clone`, a transactional rollback that
-//! restores a snapshot also restores its epoch — so a rolled-back
-//! vectorization attempt leaves the cache warm, while any committed
-//! mutation invalidates it automatically.
-//!
-//! Passes that mutate the function but provably keep some analyses valid
-//! declare them through [`PreservedAnalyses`]; [`AnalysisManager::
-//! mark_preserved`] then re-keys the surviving entries to the new epoch
-//! instead of recomputing them.
+//! globally unique and a transactional rollback restores the
+//! pre-transaction epoch with the content, a rolled-back vectorization
+//! attempt leaves the cache warm, while a committed mutation moves the
+//! epoch and the entries are brought up to date before they are served.
 //!
 //! Inside a transaction the manager also keeps a [`LogCursor`] into the
 //! function's delta log. When the epoch has moved, the positions, the use
 //! map and the address analysis catch up by replaying the edits since the
-//! cursor — O(edits), so a vectorizer commit no longer costs a whole-body
-//! recomputation. Only when the log cannot be replayed (no transaction, a
+//! cursor — O(edits), so a guarded commit no longer costs a whole-body
+//! recomputation, and edits that change no analysis (renames) keep every
+//! entry as it is. Only when the log cannot be replayed (no transaction, a
 //! rollback below the cursor, a whole-body or CFG edit, or more edits than
 //! a recomputation would cost) are the entries dropped and recomputed.
 
@@ -70,45 +66,6 @@ impl AnalysisKind {
     }
 }
 
-/// The set of analyses a pass declares intact after running (LLVM's
-/// `PreservedAnalyses`). A pass that did not mutate the function at all
-/// should return [`PreservedAnalyses::all`]; a mutating pass returns
-/// [`PreservedAnalyses::none`] unless it can prove better.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PreservedAnalyses {
-    preserved: [bool; 4],
-}
-
-impl PreservedAnalyses {
-    /// Every analysis survives (the function is semantically unchanged for
-    /// analysis purposes).
-    pub fn all() -> PreservedAnalyses {
-        PreservedAnalyses { preserved: [true; 4] }
-    }
-
-    /// No analysis survives (safe default after arbitrary mutation).
-    pub fn none() -> PreservedAnalyses {
-        PreservedAnalyses { preserved: [false; 4] }
-    }
-
-    /// Additionally declare `kind` preserved.
-    #[must_use]
-    pub fn preserve(mut self, kind: AnalysisKind) -> PreservedAnalyses {
-        self.preserved[kind.index()] = true;
-        self
-    }
-
-    /// Whether `kind` is declared preserved.
-    pub fn is_preserved(&self, kind: AnalysisKind) -> bool {
-        self.preserved[kind.index()]
-    }
-
-    /// Whether every analysis is preserved.
-    pub fn preserves_all(&self) -> bool {
-        self.preserved.iter().all(|&p| p)
-    }
-}
-
 /// Cache effectiveness counters, cumulative over the manager's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -117,7 +74,7 @@ pub struct CacheStats {
     /// Queries that had to compute the analysis.
     pub misses: u64,
     /// Times cached entries were dropped because the function's epoch
-    /// moved without a preservation claim.
+    /// moved and the delta log could not bring them up to date.
     pub invalidations: u64,
     /// Times a cached entry was brought up to date from the delta log
     /// instead of being dropped; queries it then answers count as hits.
@@ -197,7 +154,7 @@ impl AnalysisManager {
     }
 
     /// Drop every cached entry.
-    pub fn invalidate_all(&mut self) {
+    fn invalidate_all(&mut self) {
         if self.has_entries() {
             self.total.invalidations += 1;
         }
@@ -216,49 +173,23 @@ impl AnalysisManager {
             || self.memdep.is_some()
     }
 
-    /// Re-key the cache after a pass reported `preserved`: surviving
-    /// entries move to `f`'s current epoch, the rest are dropped. With
-    /// [`PreservedAnalyses::all`] the whole cache stays warm even though
-    /// the epoch moved.
-    pub fn mark_preserved(&mut self, f: &Function, preserved: &PreservedAnalyses) {
-        if self.epoch == Some(f.epoch()) {
-            return; // nothing moved
-        }
-        if !preserved.is_preserved(AnalysisKind::Addr) {
-            self.addr = None;
-        }
-        if !preserved.is_preserved(AnalysisKind::Positions) {
-            self.positions = None;
-        }
-        if !preserved.is_preserved(AnalysisKind::Uses) {
-            self.uses = None;
-        }
-        if !preserved.is_preserved(AnalysisKind::MemDep) {
-            self.memdep = None;
-        }
-        if !preserved.preserves_all() {
-            self.total.invalidations += 1;
-        }
-        self.epoch = Some(f.epoch());
-        self.cursor = f.log_cursor();
-    }
-
-    /// Bring the entries up to `f`'s epoch: replay the delta log since the
-    /// cursor when possible, else drop them.
-    fn refresh(&mut self, f: &Function) {
-        if self.epoch == Some(f.epoch()) {
-            if self.cursor.is_none() {
-                self.cursor = f.log_cursor();
+    /// Bring the entries up to `f`'s epoch — replaying the delta log since
+    /// the cursor when possible, else dropping them — and move the cursor
+    /// to the current end of the log. At an unchanged epoch this only
+    /// re-anchors the cursor. The guard calls it right after opening a
+    /// transaction, so the edits the transaction makes can be caught up
+    /// from its start, and again just before committing, while the log
+    /// still holds them.
+    pub fn refresh(&mut self, f: &Function) {
+        if self.epoch != Some(f.epoch()) {
+            let start = Instant::now();
+            if self.catch_up(f) {
+                self.analysis_time += start.elapsed();
+            } else {
+                self.invalidate_all();
             }
-            return;
+            self.epoch = Some(f.epoch());
         }
-        let start = Instant::now();
-        if self.catch_up(f) {
-            self.analysis_time += start.elapsed();
-        } else {
-            self.invalidate_all();
-        }
-        self.epoch = Some(f.epoch());
         self.cursor = f.log_cursor();
     }
 
@@ -268,6 +199,9 @@ impl AnalysisManager {
     /// log cannot be replayed or is longer than a recomputation is worth.
     fn catch_up(&mut self, f: &Function) -> bool {
         let Some(edits) = self.cursor.and_then(|c| f.edits_since(c)) else { return false };
+        if edits.is_empty() {
+            return true; // nothing any analysis reads changed
+        }
         if edits.len() > f.body_len() / 4 {
             return false;
         }
@@ -473,41 +407,5 @@ mod tests {
         assert_eq!(am.cache_stats_for(AnalysisKind::MemDep).misses, 1);
         assert_eq!(am.cache_stats_for(AnalysisKind::MemDep).hits, 1);
         assert_eq!(am.cache_stats_for(AnalysisKind::Addr).hits, 1);
-    }
-
-    #[test]
-    fn preserved_analyses_rekey_without_recompute() {
-        let mut f = kernel();
-        let mut am = AnalysisManager::new();
-        let a1 = am.addr_info(&f);
-        let u1 = am.use_map(&f);
-        // A "pass" that mutates only debug names: analyses survive.
-        let v = f.params()[0];
-        f.set_value_name(v, "renamed");
-        am.mark_preserved(&f, &PreservedAnalyses::all());
-        let a2 = am.addr_info(&f);
-        let u2 = am.use_map(&f);
-        assert!(Rc::ptr_eq(&a1, &a2));
-        assert!(Rc::ptr_eq(&u1, &u2));
-        assert_eq!(am.cache_stats().invalidations, 0);
-        // Partial preservation drops only the unlisted entries.
-        f.set_value_name(v, "renamed-again");
-        am.mark_preserved(&f, &PreservedAnalyses::none().preserve(AnalysisKind::Addr));
-        let a3 = am.addr_info(&f);
-        assert!(Rc::ptr_eq(&a1, &a3), "addr was preserved");
-        let u3 = am.use_map(&f);
-        assert!(!Rc::ptr_eq(&u1, &u3), "uses were not preserved");
-    }
-
-    #[test]
-    fn preserved_set_composes() {
-        let pa = PreservedAnalyses::none()
-            .preserve(AnalysisKind::Positions)
-            .preserve(AnalysisKind::Uses);
-        assert!(pa.is_preserved(AnalysisKind::Positions));
-        assert!(pa.is_preserved(AnalysisKind::Uses));
-        assert!(!pa.is_preserved(AnalysisKind::Addr));
-        assert!(!pa.preserves_all());
-        assert!(PreservedAnalyses::all().preserves_all());
     }
 }

@@ -281,10 +281,7 @@ impl CompileOptionsBuilder {
         self
     }
 
-    /// Guard mode by name (`off` | `rollback` | `strict`). The rollback
-    /// strategy stays the delta-log default; the snapshot and differential
-    /// strategies are reference oracles set on
-    /// [`VectorizerConfig::rollback`] directly.
+    /// Guard mode by name (`off` | `rollback` | `strict`).
     pub fn guard(mut self, mode: &str) -> Self {
         self.guard = Some(mode.to_string());
         self
@@ -525,14 +522,12 @@ mod tests {
 
     #[test]
     fn guard_strategy_spellings_are_rejected() {
-        // The rollback strategies are reference oracles on
-        // `VectorizerConfig::rollback`, not guard modes.
+        // The removed rollback-strategy spellings are not guard modes.
         for spelling in ["snapshot", "differential"] {
             let err = CompileOptions::preset("LSLP").guard(spelling).build().unwrap_err();
             assert_eq!(err, OptionsError::UnknownGuard(spelling.into()));
             assert!(err.to_string().contains("try off, rollback, strict"), "{err}");
         }
-        // The mode names keep the delta default.
         for (spelling, mode) in [
             ("off", GuardMode::Off),
             ("rollback", GuardMode::Rollback),
@@ -540,7 +535,6 @@ mod tests {
         ] {
             let opts = CompileOptions::preset("LSLP").guard(spelling).build().unwrap();
             assert_eq!(opts.config.guard, mode);
-            assert_eq!(opts.config.rollback, crate::guard::RollbackStrategy::Delta);
         }
     }
 

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::guard::{GuardMode, GuardPolicy, RollbackStrategy};
+use crate::guard::{GuardMode, GuardPolicy};
 
 /// A strategy knob was given an unknown spelling (the [`FromStr`] error of
 /// [`ReorderStrategy`] and [`PackingStrategy`]).
@@ -266,13 +266,10 @@ pub struct VectorizerConfig {
     /// before the profitability decision. Off in the paper presets.
     pub throttle: bool,
     /// Transactional pass guard semantics (`lslp::guard`): every pass and
-    /// per-seed vectorization attempt is snapshotted, panic-isolated, and
-    /// verified before committing. Default [`GuardMode::Rollback`].
+    /// per-seed vectorization attempt runs in an IR transaction,
+    /// panic-isolated, and is verified before committing. Default
+    /// [`GuardMode::Rollback`].
     pub guard: GuardMode,
-    /// Rollback mechanism of the guard: delta-undo transaction log
-    /// (default), full-clone snapshot (debug fallback), or differential
-    /// (both, asserting they agree on every rollback).
-    pub rollback: RollbackStrategy,
     /// Paranoid mode: additionally check every committed transform by
     /// differential execution against the pre-transform function with the
     /// `lslp_interp` oracle on synthesized inputs. Slow; off by default.
@@ -310,7 +307,6 @@ impl VectorizerConfig {
             enable_reductions: false,
             throttle: false,
             guard: GuardMode::Rollback,
-            rollback: RollbackStrategy::Delta,
             paranoid: false,
             max_graph_nodes: 4096,
             time_budget_ms: None,
@@ -355,10 +351,10 @@ impl VectorizerConfig {
         VectorizerConfig { max_multinode_insts: max_insts, ..Self::lslp() }
     }
 
-    /// The guard policy this configuration implies (failure semantics,
-    /// rollback mechanism, paranoid oracle), bundled for the guard layer.
+    /// The guard policy this configuration implies (failure semantics and
+    /// paranoid oracle), bundled for the guard layer.
     pub fn guard_policy(&self) -> GuardPolicy {
-        GuardPolicy { mode: self.guard, strategy: self.rollback, paranoid: self.paranoid }
+        GuardPolicy { mode: self.guard, paranoid: self.paranoid }
     }
 
     /// Look up a preset by the paper's configuration names: `O3`, `SLP-NR`,

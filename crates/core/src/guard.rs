@@ -23,26 +23,17 @@
 //!   panic isolation, verification only via `debug_assert!` at the call
 //!   sites.
 //!
-//! Orthogonally, [`RollbackStrategy`] selects the rollback *mechanism*:
-//!
-//! * [`RollbackStrategy::Delta`] (default) — open an IR transaction
-//!   ([`Function::begin_txn`]); rollback replays the delta log in reverse,
-//!   so a committed attempt costs ~nothing and a rollback costs
-//!   O(touched instructions) instead of O(function). Commits verify
-//!   incrementally ([`lslp_ir::verify_function_touched`]).
-//! * [`RollbackStrategy::Snapshot`] — the historical mechanism: a full
-//!   `Function::clone()` before the transform, restored by move on
-//!   failure. Kept as a reference oracle for the delta log, selected on
-//!   [`crate::VectorizerConfig::rollback`] (not a user-facing guard mode).
-//! * [`RollbackStrategy::Differential`] — run *both* mechanisms and
-//!   assert on every rollback that the delta-restored function is
-//!   bit-identical (printed form and epoch) to the snapshot. A divergence
-//!   is a bug in the delta log and panics immediately.
+//! The rollback point is an IR transaction ([`Function::begin_txn`]):
+//! rollback replays the delta log in reverse, so a committed attempt costs
+//! ~nothing and a rollback costs O(touched instructions) instead of
+//! O(function). Commits verify incrementally
+//! ([`lslp_ir::verify_function_touched`]) against the positions and uses
+//! of the caller's [`AnalysisManager`], which catches them up from the
+//! same log.
 //!
 //! See `DESIGN.md` § "Pass guard & failure semantics" and `docs/IR.md`
 //! § "Transactions" for the underlying delta-log contract.
 
-use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -58,8 +49,8 @@ pub enum GuardMode {
     /// No guard: transforms run unchecked, panics propagate, verification
     /// happens only in debug builds (the historical behavior).
     Off,
-    /// Roll back to the pre-transform snapshot on any incident, record it,
-    /// and continue with the scalar code.
+    /// Roll the transaction back on any incident, record it, and continue
+    /// with the scalar code.
     #[default]
     Rollback,
     /// Abort with a [`GuardError`] on the first incident.
@@ -88,71 +79,22 @@ impl fmt::Display for GuardMode {
     }
 }
 
-/// The mechanism a guarded transaction uses to restore the pre-transform
-/// state on failure. Orthogonal to [`GuardMode`] (which decides what
-/// *happens* after a failure).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum RollbackStrategy {
-    /// Delta-undo log (default): open an IR transaction; rollback replays
-    /// only the touched records, commit discards the log. O(changes), not
-    /// O(function).
-    #[default]
-    Delta,
-    /// Full `Function::clone()` snapshot, restored by move on failure.
-    /// The historical mechanism; kept as a debug fallback.
-    Snapshot,
-    /// Run both mechanisms and assert delta-rollback ≡ snapshot-rollback
-    /// (printed form and epoch) on every rollback. Debug/CI mode; a
-    /// divergence panics.
-    Differential,
-}
-
-impl RollbackStrategy {
-    /// Parse a strategy spelling (`delta`, `snapshot`, `differential`).
-    pub fn parse(s: &str) -> Option<RollbackStrategy> {
-        match s {
-            "delta" => Some(RollbackStrategy::Delta),
-            "snapshot" => Some(RollbackStrategy::Snapshot),
-            "differential" => Some(RollbackStrategy::Differential),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for RollbackStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            RollbackStrategy::Delta => "delta",
-            RollbackStrategy::Snapshot => "snapshot",
-            RollbackStrategy::Differential => "differential",
-        })
-    }
-}
-
-/// The complete guard configuration: failure semantics, rollback
-/// mechanism, and whether the differential-execution oracle runs.
+/// The complete guard configuration: failure semantics and whether the
+/// differential-execution oracle runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct GuardPolicy {
     /// What happens after an incident (rollback / abort / nothing).
     pub mode: GuardMode,
-    /// How the pre-transform state is restored.
-    pub strategy: RollbackStrategy,
     /// Whether to run the differential-execution oracle on every commit.
-    /// Paranoid mode keeps a snapshot for the oracle's "before" side even
-    /// under [`RollbackStrategy::Delta`].
+    /// Paranoid mode keeps a clone of the pre-transform function for the
+    /// oracle's "before" side.
     pub paranoid: bool,
 }
 
 impl GuardPolicy {
-    /// A policy with the given failure semantics and default mechanism.
+    /// A policy with the given failure semantics, oracle off.
     pub fn new(mode: GuardMode) -> GuardPolicy {
         GuardPolicy { mode, ..GuardPolicy::default() }
-    }
-
-    /// Replace the rollback mechanism.
-    pub fn strategy(mut self, strategy: RollbackStrategy) -> GuardPolicy {
-        self.strategy = strategy;
-        self
     }
 
     /// Enable or disable the paranoid oracle.
@@ -264,262 +206,27 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// actually recorded, so the hot path never pays the formatting cost.
 pub type SeedDesc<'a> = &'a dyn Fn(&Function) -> String;
 
-/// Pass-instrumentation hooks: the rollback-point / verify / rollback
-/// machinery of the transactional guard, factored out so the pass manager
-/// (`crate::pm::PassManager`) wraps whole passes with the same
-/// before/after-pass protocol that per-seed vectorization transactions
-/// use, instead of every call site re-implementing the wrapping.
-///
-/// Protocol:
-///
-/// 1. [`GuardInstrumentation::before_pass`] — establish the rollback
-///    point (open an IR transaction and/or take a snapshot, per
-///    [`RollbackStrategy`]);
-/// 2. run the transform (under [`GuardInstrumentation::catch_panics`] when
-///    panic isolation is wanted);
-/// 3. [`GuardInstrumentation::after_pass`] — verify the mutated function
-///    (plus the differential-execution oracle in paranoid mode) and either
-///    commit (`None`) or roll back and return the [`Incident`].
-///
-/// The caller applies the [`GuardMode`] policy to a returned incident via
-/// [`record`]; [`GuardInstrumentation::transact`] bundles all of the above
-/// for one-shot transactions.
-pub struct GuardInstrumentation {
-    policy: GuardPolicy,
-    snapshot: Option<Function>,
-    txn: Option<TxnMark>,
-}
-
-impl GuardInstrumentation {
-    /// Instrumentation for the given policy. Installs the quiet panic hook
-    /// once per process when the guard is active.
-    pub fn new(policy: GuardPolicy) -> GuardInstrumentation {
-        if policy.mode != GuardMode::Off {
-            install_quiet_hook();
-        }
-        GuardInstrumentation { policy, snapshot: None, txn: None }
-    }
-
-    /// The failure semantics this instrumentation applies.
-    pub fn mode(&self) -> GuardMode {
-        self.policy.mode
-    }
-
-    /// The full guard policy this instrumentation applies.
-    pub fn policy(&self) -> GuardPolicy {
-        self.policy
-    }
-
-    /// Before-pass hook: establish the rollback point. Under
-    /// [`RollbackStrategy::Delta`] this opens an IR transaction (no clone);
-    /// under [`RollbackStrategy::Snapshot`] it clones `f`; under
-    /// [`RollbackStrategy::Differential`] it does both. Paranoid mode
-    /// additionally keeps a snapshot in any strategy — the oracle needs the
-    /// pre-transform function to execute. No-op in [`GuardMode::Off`].
-    pub fn before_pass(&mut self, f: &mut Function) {
-        if self.policy.mode == GuardMode::Off {
-            return;
-        }
-        if self.policy.strategy != RollbackStrategy::Snapshot {
-            self.txn = Some(f.begin_txn());
-        }
-        if self.policy.strategy != RollbackStrategy::Delta || self.policy.paranoid {
-            self.snapshot = Some(f.clone());
-        }
-    }
-
-    /// Run `body` with panics caught and the default panic report
-    /// suppressed (the guard converts the payload into an incident).
-    pub fn catch_panics<T>(&self, body: impl FnOnce() -> T) -> Result<T, Box<dyn Any + Send>> {
-        GUARD_ACTIVE.with(|g| g.set(true));
-        let r = panic::catch_unwind(AssertUnwindSafe(body));
-        GUARD_ACTIVE.with(|g| g.set(false));
-        r
-    }
-
-    /// After-pass hook. `outcome` is `Ok(mutated)` when the transform
-    /// completed (`mutated` says whether `f` changed, so clean read-only
-    /// runs skip verification and oracle costs) or `Err(payload)` when it
-    /// panicked. Returns `None` on commit (closing the IR transaction and
-    /// discarding the rollback point); on any failure restores `f` to the
-    /// `before_pass` state bit-for-bit and returns the incident. `seed` is
-    /// evaluated lazily, only when an incident is built (after rollback,
-    /// so it describes the pre-transform state).
-    ///
-    /// Commits under [`RollbackStrategy::Delta`] verify incrementally:
-    /// only the instructions the transaction touched and their users are
-    /// checked, against positions and uses computed afresh.
-    pub fn after_pass(
-        &mut self,
-        pass: &str,
-        seed: Option<SeedDesc>,
-        f: &mut Function,
-        outcome: Result<bool, Box<dyn Any + Send>>,
-    ) -> Option<Incident> {
-        self.after_pass_in(pass, seed, f, &mut AnalysisManager::new(), outcome)
-    }
-
-    /// [`GuardInstrumentation::after_pass`], reading the positions and
-    /// uses an incremental verification needs from `am`, which brings its
-    /// cached ones up to date from the delta log: the commit then costs
-    /// O(touched instructions), and the caller's next queries hit.
-    fn after_pass_in(
-        &mut self,
-        pass: &str,
-        seed: Option<SeedDesc>,
-        f: &mut Function,
-        am: &mut AnalysisManager,
-        outcome: Result<bool, Box<dyn Any + Send>>,
-    ) -> Option<Incident> {
-        let snapshot = self.snapshot.take();
-        let txn = self.txn.take();
-        if self.policy.mode == GuardMode::Off {
-            if let Err(payload) = outcome {
-                panic::resume_unwind(payload);
-            }
-            return None;
-        }
-        if self.policy.strategy != RollbackStrategy::Snapshot {
-            assert!(txn.is_some(), "before_pass must run before after_pass");
-        } else {
-            assert!(snapshot.is_some(), "before_pass must run before after_pass");
-        }
-        let commit = |f: &mut Function| {
-            if let Some(mark) = txn {
-                f.commit_txn(mark);
-            }
-        };
-        let failure = match outcome {
-            Err(payload) => Some((IncidentKind::Panic, panic_message(payload))),
-            Ok(mutated) => {
-                if !mutated {
-                    commit(f);
-                    return None;
-                }
-                let verdict = match txn.and_then(|mark| f.touched_since(mark)) {
-                    Some(touched) => {
-                        let positions = am.positions(f);
-                        let uses = am.use_map(f);
-                        lslp_ir::verify_function_touched(f, &touched, &positions, &uses)
-                    }
-                    None => lslp_ir::verify_function(f),
-                };
-                match verdict {
-                    Err(e) => Some((IncidentKind::VerifyError, e.to_string())),
-                    Ok(()) => oracle_check(self.policy.paranoid, snapshot.as_ref(), f)
-                        .err()
-                        .map(|detail| (IncidentKind::OracleMismatch, detail)),
-                }
-            }
-        };
-        match failure {
-            None => {
-                commit(f);
-                None
-            }
-            Some((kind, detail)) => {
-                restore(self.policy.strategy, f, txn, snapshot, pass);
-                Some(Incident { pass: pass.to_string(), seed: seed.map(|d| d(f)), kind, detail })
-            }
-        }
-    }
-
-    /// One complete guarded transaction over `f`: snapshot, run `body`
-    /// (which returns `(result, mutated)`), verify, commit or roll back.
-    /// In [`GuardMode::Off`] the body runs unguarded and panics propagate.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Incident`] when the transaction was rolled back; the
-    /// caller decides between recording and aborting (see [`record`]).
-    pub fn transact<T>(
-        &mut self,
-        pass: &str,
-        seed: Option<SeedDesc>,
-        f: &mut Function,
-        body: impl FnOnce(&mut Function) -> (T, bool),
-    ) -> Result<T, Incident> {
-        self.transact_in(pass, seed, f, &mut AnalysisManager::new(), |f, _| body(f))
-    }
-
-    /// [`GuardInstrumentation::transact`] with an analysis manager, which
-    /// `body` may use and the commit check reads (see
-    /// [`GuardInstrumentation::after_pass_in`]).
-    fn transact_in<T>(
-        &mut self,
-        pass: &str,
-        seed: Option<SeedDesc>,
-        f: &mut Function,
-        am: &mut AnalysisManager,
-        body: impl FnOnce(&mut Function, &mut AnalysisManager) -> (T, bool),
-    ) -> Result<T, Incident> {
-        if self.policy.mode == GuardMode::Off {
-            let (t, _mutated) = body(f, am);
-            return Ok(t);
-        }
-        self.before_pass(f);
-        let (value, flag) = match self.catch_panics(AssertUnwindSafe(|| body(f, am))) {
-            Ok((t, mutated)) => (Some(t), Ok(mutated)),
-            Err(payload) => (None, Err(payload)),
-        };
-        match self.after_pass_in(pass, seed, f, am, flag) {
-            None => Ok(value.expect("commit implies the body completed")),
-            Some(incident) => Err(incident),
-        }
-    }
-}
-
-/// Restore `f` to its pre-transform state using the given mechanism.
-/// Under [`RollbackStrategy::Differential`], both mechanisms run and any
-/// divergence between them panics — that is the mode's purpose.
-fn restore(
-    strategy: RollbackStrategy,
-    f: &mut Function,
-    txn: Option<TxnMark>,
-    snapshot: Option<Function>,
-    pass: &str,
-) {
-    match strategy {
-        RollbackStrategy::Delta => {
-            f.rollback_txn(txn.expect("delta guard holds an open transaction"));
-        }
-        RollbackStrategy::Snapshot => {
-            // Restore by move: the snapshot is owned here and consumed by
-            // exactly one rollback, so no second clone is needed.
-            *f = snapshot.expect("snapshot guard holds a snapshot");
-        }
-        RollbackStrategy::Differential => {
-            let snap = snapshot.expect("differential guard holds a snapshot");
-            f.rollback_txn(txn.expect("differential guard holds an open transaction"));
-            let delta_print = lslp_ir::print_function(f);
-            let snap_print = lslp_ir::print_function(&snap);
-            assert!(
-                delta_print == snap_print,
-                "differential guard: delta-rollback diverged from snapshot-rollback \
-                 in pass {pass}\n--- delta-restored ---\n{delta_print}\
-                 --- snapshot ---\n{snap_print}"
-            );
-            assert_eq!(
-                f.epoch(),
-                snap.epoch(),
-                "differential guard: delta-rollback restored a different epoch \
-                 than the snapshot in pass {pass}"
-            );
-        }
-    }
-}
-
-/// Run `body` over `f` as a guarded transaction (convenience wrapper over
-/// [`GuardInstrumentation::transact`] + [`record`]).
+/// Run `body` over `f` as one guarded transaction: open an IR
+/// transaction, run `body` with panics caught, verify the result, and
+/// commit or roll back. This is the one guard entry point — the pass
+/// manager wraps whole passes with it and the vectorizer each per-seed
+/// attempt.
 ///
 /// `body` returns `(result, mutated)`; `mutated` tells the guard whether
 /// `f` was actually changed, so clean read-only attempts skip the
-/// verification and oracle costs. On commit the result is returned as
-/// `Ok(Some(result))`. On an incident:
+/// verification and oracle costs. `body` may use `am`, and the commit
+/// check reads the positions and uses it needs from `am`, which catches
+/// its cached ones up from the delta log: a commit costs O(touched
+/// instructions), and the caller's next queries hit. `seed` is rendered
+/// only when an incident is built (after rollback, so it describes the
+/// pre-transform state).
 ///
-/// * [`GuardMode::Rollback`] restores `f` from the snapshot, pushes the
+/// On commit the result is returned as `Ok(Some(result))`. On an incident
+/// (panic, verifier error, or — in paranoid mode — oracle mismatch):
+///
+/// * [`GuardMode::Rollback`] rolls `f` back bit-for-bit, pushes the
 ///   incident onto `incidents`, and returns `Ok(None)`;
-/// * [`GuardMode::Strict`] restores `f` and returns `Err(GuardError)`;
+/// * [`GuardMode::Strict`] rolls `f` back and returns `Err(GuardError)`;
 /// * [`GuardMode::Off`] never produces incidents — `body` runs unguarded
 ///   and panics propagate.
 ///
@@ -528,20 +235,6 @@ fn restore(
 /// Returns [`GuardError`] carrying the incident in strict mode.
 pub fn run_guarded<T>(
     f: &mut Function,
-    policy: GuardPolicy,
-    pass: &str,
-    seed: Option<SeedDesc>,
-    incidents: &mut Vec<Incident>,
-    body: impl FnOnce(&mut Function) -> (T, bool),
-) -> Result<Option<T>, GuardError> {
-    run_guarded_in(f, &mut AnalysisManager::new(), policy, pass, seed, incidents, |f, _| body(f))
-}
-
-/// [`run_guarded`] with an analysis manager that `body` may use and the
-/// commit check reads, so verifying a commit costs O(touched
-/// instructions) and leaves `am` up to date for the caller.
-pub(crate) fn run_guarded_in<T>(
-    f: &mut Function,
     am: &mut AnalysisManager,
     policy: GuardPolicy,
     pass: &str,
@@ -549,13 +242,66 @@ pub(crate) fn run_guarded_in<T>(
     incidents: &mut Vec<Incident>,
     body: impl FnOnce(&mut Function, &mut AnalysisManager) -> (T, bool),
 ) -> Result<Option<T>, GuardError> {
-    let mut gi = GuardInstrumentation::new(policy);
-    match gi.transact_in(pass, seed, f, am, body) {
-        Ok(t) => Ok(Some(t)),
-        Err(incident) => {
+    if policy.mode == GuardMode::Off {
+        return Ok(Some(body(f, am).0));
+    }
+    install_quiet_hook();
+    let mark = f.begin_txn();
+    // Put the manager's log cursor at the transaction's start, so the
+    // commit check catches the body's edits up instead of recomputing.
+    am.refresh(f);
+    let before = policy.paranoid.then(|| f.clone());
+    GUARD_ACTIVE.with(|g| g.set(true));
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| body(f, am)));
+    GUARD_ACTIVE.with(|g| g.set(false));
+    let (value, failure) = match outcome {
+        Err(payload) => (None, Some((IncidentKind::Panic, panic_message(payload)))),
+        Ok((value, mutated)) => {
+            let failure =
+                if mutated { check_commit(f, am, mark, before.as_ref()).err() } else { None };
+            (Some(value), failure)
+        }
+    };
+    match failure {
+        None => {
+            // Catch the manager up while the log still holds the edits.
+            am.refresh(f);
+            f.commit_txn(mark);
+            Ok(value)
+        }
+        Some((kind, detail)) => {
+            f.rollback_txn(mark);
+            let incident =
+                Incident { pass: pass.to_string(), seed: seed.map(|d| d(f)), kind, detail };
             record(policy.mode, incidents, incident)?;
             Ok(None)
         }
+    }
+}
+
+/// Check a mutated function before its transaction commits: verify the
+/// instructions the transaction touched (all of `f` after a whole-body or
+/// CFG edit), then, in paranoid mode, run the differential oracle against
+/// `before`.
+fn check_commit(
+    f: &Function,
+    am: &mut AnalysisManager,
+    mark: TxnMark,
+    before: Option<&Function>,
+) -> Result<(), (IncidentKind, String)> {
+    let verdict = match f.touched_since(mark) {
+        Some(touched) if touched.is_empty() => Ok(()),
+        Some(touched) => {
+            let positions = am.positions(f);
+            let uses = am.use_map(f);
+            lslp_ir::verify_function_touched(f, &touched, &positions, &uses)
+        }
+        None => lslp_ir::verify_function(f),
+    };
+    verdict.map_err(|e| (IncidentKind::VerifyError, e.to_string()))?;
+    match before {
+        Some(before) => oracle_check(before, f).map_err(|d| (IncidentKind::OracleMismatch, d)),
+        None => Ok(()),
     }
 }
 
@@ -645,14 +391,8 @@ fn capture(f: &Function, float_mode: bool) -> Option<Memory> {
 /// integer programs, within relative tolerance for float programs (the
 /// vectorizer reassociates under fast-math). A `before` that does not
 /// execute (e.g. out-of-bounds under the synthesized inputs) makes the
-/// oracle inconclusive, which counts as agreement. `before` is the
-/// paranoid-mode snapshot; it is always present when `paranoid` is set
-/// (see [`GuardInstrumentation::before_pass`]).
-fn oracle_check(paranoid: bool, before: Option<&Function>, after: &Function) -> Result<(), String> {
-    if !paranoid {
-        return Ok(());
-    }
-    let before = before.expect("paranoid mode keeps a snapshot for the oracle");
+/// oracle inconclusive, which counts as agreement.
+fn oracle_check(before: &Function, after: &Function) -> Result<(), String> {
     let float_mode = touches_float(before);
     let Some(pre) = capture(before, float_mode) else {
         return Ok(());
@@ -697,12 +437,23 @@ mod tests {
         f
     }
 
+    /// [`run_guarded`] with a fresh manager and a body that ignores it.
+    fn guarded<T>(
+        f: &mut Function,
+        policy: GuardPolicy,
+        seed: Option<SeedDesc>,
+        incidents: &mut Vec<Incident>,
+        body: impl FnOnce(&mut Function) -> (T, bool),
+    ) -> Result<Option<T>, GuardError> {
+        run_guarded(f, &mut AnalysisManager::new(), policy, "test", seed, incidents, |f, _| body(f))
+    }
+
     #[test]
     fn commit_passes_result_through() {
         let mut f = store_kernel();
         let mut incidents = Vec::new();
         let policy = GuardPolicy::new(GuardMode::Rollback);
-        let r = run_guarded(&mut f, policy, "test", None, &mut incidents, |_| (42, false));
+        let r = guarded(&mut f, policy, None, &mut incidents, |_| (42, false));
         assert_eq!(r.unwrap(), Some(42));
         assert!(incidents.is_empty());
     }
@@ -713,10 +464,9 @@ mod tests {
         let before = lslp_ir::print_function(&f);
         let mut incidents = Vec::new();
         let desc = |_: &Function| "A[+0..+8)".to_string();
-        let r = run_guarded(
+        let r = guarded(
             &mut f,
             GuardPolicy::new(GuardMode::Rollback),
-            "test",
             Some(&desc as SeedDesc),
             &mut incidents,
             |f| {
@@ -739,10 +489,9 @@ mod tests {
         let mut f = store_kernel();
         let before = lslp_ir::print_function(&f);
         let mut incidents = Vec::new();
-        let r = run_guarded(
+        let r = guarded(
             &mut f,
             GuardPolicy::new(GuardMode::Strict),
-            "test",
             None,
             &mut incidents,
             |_| -> ((), bool) { panic!("boom") },
@@ -758,10 +507,9 @@ mod tests {
         let mut f = store_kernel();
         let mut incidents = Vec::new();
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_guarded(
+            guarded(
                 &mut f,
                 GuardPolicy::new(GuardMode::Off),
-                "test",
                 None,
                 &mut incidents,
                 |_| -> ((), bool) { panic!("boom") },
@@ -771,29 +519,10 @@ mod tests {
     }
 
     #[test]
-    fn instrumentation_hooks_compose() {
-        let mut f = store_kernel();
-        let before = lslp_ir::print_function(&f);
-        let mut gi = GuardInstrumentation::new(GuardPolicy::new(GuardMode::Rollback));
-        gi.before_pass(&mut f);
-        let outcome: Result<(), _> = gi.catch_panics(|| {
-            f.add_param("junk", Type::I64);
-            panic!("late panic");
-        });
-        assert!(outcome.is_err());
-        let incident = gi
-            .after_pass("hooked", None, &mut f, outcome.map(|_| true))
-            .expect("panic must produce an incident");
-        assert_eq!(incident.kind, IncidentKind::Panic);
-        assert_eq!(incident.pass, "hooked");
-        assert_eq!(lslp_ir::print_function(&f), before, "after_pass must roll back");
-    }
-
-    #[test]
     fn transact_commits_clean_mutations() {
         let mut f = store_kernel();
-        let mut gi = GuardInstrumentation::new(GuardPolicy::new(GuardMode::Strict));
-        let r = gi.transact("test", None, &mut f, |f| {
+        let mut incidents = Vec::new();
+        let r = guarded(&mut f, GuardPolicy::new(GuardMode::Strict), None, &mut incidents, |f| {
             let n = f.num_values();
             f.add_param("extra", Type::I64);
             (n, true)
@@ -812,45 +541,13 @@ mod tests {
     }
 
     #[test]
-    fn strategy_parsing_round_trips() {
-        for s in
-            [RollbackStrategy::Delta, RollbackStrategy::Snapshot, RollbackStrategy::Differential]
-        {
-            assert_eq!(RollbackStrategy::parse(&s.to_string()), Some(s));
-        }
-        assert_eq!(RollbackStrategy::parse("clone"), None);
-        assert_eq!(RollbackStrategy::default(), RollbackStrategy::Delta);
-    }
-
-    #[test]
     fn delta_is_the_default_and_opens_a_txn() {
         let mut f = store_kernel();
-        let mut gi = GuardInstrumentation::new(GuardPolicy::new(GuardMode::Rollback));
-        gi.before_pass(&mut f);
-        assert!(f.in_txn(), "delta guard opens an IR transaction");
-        let incident = gi.after_pass("t", None, &mut f, Ok(false));
-        assert!(incident.is_none());
-        assert!(!f.in_txn(), "after_pass closes the transaction");
-    }
-
-    #[test]
-    fn snapshot_strategy_restores_bit_for_bit() {
-        let mut f = store_kernel();
-        let before = lslp_ir::print_function(&f);
-        let e0 = f.epoch();
         let mut incidents = Vec::new();
-        let policy = GuardPolicy::new(GuardMode::Rollback).strategy(RollbackStrategy::Snapshot);
-        let r = run_guarded(&mut f, policy, "test", None, &mut incidents, |f| {
-            f.add_param("junk", Type::I64);
-            panic!("boom");
-            #[allow(unreachable_code)]
-            ((), true)
-        });
-        assert_eq!(r.unwrap(), None);
-        assert_eq!(lslp_ir::print_function(&f), before);
-        assert_eq!(f.epoch(), e0, "snapshot restore keeps the pre-txn epoch");
-        assert!(!f.in_txn(), "snapshot strategy never opens a transaction");
-        assert_eq!(incidents.len(), 1);
+        let policy = GuardPolicy::new(GuardMode::Rollback);
+        let r = guarded(&mut f, policy, None, &mut incidents, |f| (f.in_txn(), false));
+        assert_eq!(r.unwrap(), Some(true), "the body runs inside an IR transaction");
+        assert!(!f.in_txn(), "the guard closes the transaction");
     }
 
     #[test]
@@ -860,7 +557,7 @@ mod tests {
         let e0 = f.epoch();
         let mut incidents = Vec::new();
         let policy = GuardPolicy::new(GuardMode::Rollback);
-        let r = run_guarded(&mut f, policy, "test", None, &mut incidents, |f| {
+        let r = guarded(&mut f, policy, None, &mut incidents, |f| {
             // An invalid mutation that completes: exercises the verify-error
             // path (incremental verification, then delta rollback).
             let a = f.params()[1];
@@ -877,28 +574,59 @@ mod tests {
 
     #[test]
     fn differential_strategy_agrees_on_clean_rollbacks() {
+        // Delta rollback checked against a clone taken before each
+        // transaction: printed form and epoch must both match.
         let mut f = store_kernel();
-        let before = lslp_ir::print_function(&f);
         let mut incidents = Vec::new();
-        let policy = GuardPolicy::new(GuardMode::Rollback).strategy(RollbackStrategy::Differential);
+        let policy = GuardPolicy::new(GuardMode::Rollback);
         for _ in 0..3 {
-            let r = run_guarded(&mut f, policy, "test", None, &mut incidents, |f| {
+            let snapshot = f.clone();
+            let r = guarded(&mut f, policy, None, &mut incidents, |f| {
                 f.add_param("junk", Type::I64);
                 panic!("boom");
                 #[allow(unreachable_code)]
                 ((), true)
             });
             assert_eq!(r.unwrap(), None);
+            assert_eq!(lslp_ir::print_function(&f), lslp_ir::print_function(&snapshot));
+            assert_eq!(f.epoch(), snapshot.epoch());
         }
-        assert_eq!(lslp_ir::print_function(&f), before);
         assert_eq!(incidents.len(), 3);
-        // A committing transaction under differential also works.
-        let r = run_guarded(&mut f, policy, "test", None, &mut incidents, |f| {
+        // A committing transaction after the rollbacks also works.
+        let r = guarded(&mut f, policy, None, &mut incidents, |f| {
             f.add_param("extra", Type::I64);
             ((), true)
         });
         assert_eq!(r.unwrap(), Some(()));
         assert_eq!(f.params().len(), 4);
+    }
+
+    #[test]
+    fn commit_check_catches_the_callers_analyses_up() {
+        // Enough body that one insertion is worth catching up.
+        let mut f = store_kernel();
+        for _ in 0..3 {
+            let (pa, x, i) = (f.params()[0], f.params()[1], f.params()[2]);
+            let mut b = FunctionBuilder::new(&mut f);
+            let g = b.gep(pa, i, 8);
+            b.store(x, g);
+        }
+        let mut am = AnalysisManager::new();
+        let _ = (am.positions(&f), am.use_map(&f));
+        let misses = am.cache_stats().misses;
+        let mut incidents = Vec::new();
+        let policy = GuardPolicy::new(GuardMode::Strict);
+        let added = run_guarded(&mut f, &mut am, policy, "test", None, &mut incidents, |f, _| {
+            let x = f.params()[1];
+            (f.push(lslp_ir::Opcode::Add, Type::I64, vec![x, x], lslp_ir::InstAttr::None), true)
+        })
+        .unwrap()
+        .expect("a valid push commits");
+        let stats = am.cache_stats();
+        assert_eq!(stats.misses, misses, "the commit check recomputed nothing");
+        assert_eq!(stats.updates, 2, "positions and uses were caught up");
+        assert!(am.positions(&f).contains(added));
+        assert_eq!(am.use_map(&f).num_uses(f.params()[1]), 6, "four stores and the add");
     }
 
     #[test]

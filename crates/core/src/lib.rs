@@ -86,14 +86,14 @@ pub use config::{
 };
 pub use cost::{graph_cost, graph_cost_excluding, graph_cost_reachable, CostReport};
 pub use graph::{GatherReason, GraphBuilder, Node, NodeId, NodeKind, Placement, SlpGraph};
-pub use guard::{GuardError, GuardMode, GuardPolicy, Incident, IncidentKind, RollbackStrategy};
-pub use lslp_analysis::{AnalysisKind, AnalysisManager, CacheStats, PreservedAnalyses};
+pub use guard::{GuardError, GuardMode, GuardPolicy, Incident, IncidentKind};
+pub use lslp_analysis::{AnalysisKind, AnalysisManager, CacheStats};
 pub use packing::{function_cost, GlobalStrategy, GreedyStrategy, PackCx, Strategy};
 pub use pass::{try_vectorize_function, vectorize_function, Attempt, VectorizeReport};
 pub use pipeline::{run_pipeline, try_run_pipeline, PipelineReport};
 pub use pm::{
-    CsePass, DcePass, FoldPass, IfConvertPass, Pass, PassContext, PassManager, PassResult,
-    PassTiming, SimplifyPass, UnrollLoopsPass, VectorizePass,
+    CsePass, DcePass, FoldPass, IfConvertPass, Pass, PassContext, PassManager, PassTiming,
+    SimplifyPass, UnrollLoopsPass, VectorizePass,
 };
 pub use stats::{StatRow, Statistics};
 pub use unroll::UNROLL_BUDGET;

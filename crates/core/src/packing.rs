@@ -38,7 +38,7 @@ use crate::config::{PackingStrategy, Sabotage, VectorizerConfig};
 use crate::cost::graph_cost;
 use crate::dce;
 use crate::graph::{GraphBuilder, NodeKind, SlpGraph};
-use crate::guard::{self, GuardError, Incident, IncidentKind, RollbackStrategy};
+use crate::guard::{self, GuardError, Incident, IncidentKind};
 use crate::pass::{Attempt, VectorizeReport};
 use crate::seeds::{collect_store_chains, StoreChain};
 
@@ -154,11 +154,12 @@ fn cost_bundle(
     let tm = cx.tm;
     let eval = guard::run_guarded(
         cx.f,
+        cx.am,
         cfg.guard_policy(),
         "vectorize",
         Some(&desc as guard::SeedDesc),
         &mut cx.report.incidents,
-        |f| {
+        |f, _| {
             let graph = build_graph(f, cfg, tm, an, bundle);
             let cost = graph_cost(f, &graph, tm, &an.uses);
             let gathers = graph.nodes().iter().filter(|n| !n.is_vectorizable()).count();
@@ -244,7 +245,7 @@ fn commit_pack(
     let desc = |f: &Function| loc_desc(f, loc.as_ref(), bundle.len());
     let cfg = cx.cfg;
     let tm = cx.tm;
-    guard::run_guarded_in(
+    guard::run_guarded(
         cx.f,
         cx.am,
         cfg.guard_policy(),
@@ -466,8 +467,8 @@ impl Strategy for GlobalStrategy {
             // packing-quality oracle must flag.
             return Ok(());
         }
-        // Trial both plans on the real function inside rollback
-        // checkpoints, measuring post-DCE artifacts with `function_cost`.
+        // Trial both plans on the real function inside rolled-back
+        // transactions, measuring post-DCE artifacts with `function_cost`.
         let global_cost = trial_cost(cx, PackingStrategy::Global)?;
         let greedy_cost = trial_cost(cx, PackingStrategy::Greedy)?;
         // Strictly-cheaper keeps global; ties and fuel exhaustion re-run
@@ -479,31 +480,7 @@ impl Strategy for GlobalStrategy {
     }
 }
 
-/// A rollback point for a strategy trial, matching the configured rollback
-/// strategy: a nested IR transaction under delta undo, a full clone
-/// otherwise (the clone carries the delta log, so restoring it keeps any
-/// open outer transaction marks valid).
-enum Checkpoint {
-    Txn(lslp_ir::TxnMark),
-    Snapshot(Box<Function>),
-}
-
-fn checkpoint(cx: &mut PackCx<'_>) -> Checkpoint {
-    if cx.cfg.rollback == RollbackStrategy::Delta {
-        Checkpoint::Txn(cx.f.begin_txn())
-    } else {
-        Checkpoint::Snapshot(Box::new(cx.f.clone()))
-    }
-}
-
-fn restore(cx: &mut PackCx<'_>, cp: Checkpoint) {
-    match cp {
-        Checkpoint::Txn(mark) => cx.f.rollback_txn(mark),
-        Checkpoint::Snapshot(snapshot) => *cx.f = *snapshot,
-    }
-}
-
-/// Run one strategy inside a rollback checkpoint against a scratch report,
+/// Run one strategy inside a nested IR transaction against a scratch report,
 /// sweep dead scalars, and measure the artifact with [`function_cost`];
 /// the function is restored before returning. `None` when the trial was
 /// cut short by fuel exhaustion (the caller then falls back to greedy).
@@ -511,7 +488,7 @@ fn trial_cost(cx: &mut PackCx<'_>, which: PackingStrategy) -> Result<Option<i64>
     if *cx.fuel_spent {
         return Ok(None);
     }
-    let cp = checkpoint(cx);
+    let mark = cx.f.begin_txn();
     let mut scratch = VectorizeReport::default();
     let result = {
         let mut tcx = PackCx {
@@ -530,15 +507,15 @@ fn trial_cost(cx: &mut PackCx<'_>, which: PackingStrategy) -> Result<Option<i64>
     };
     if let Err(e) = result {
         // Strict-guard abort: the guard already rolled the failing attempt
-        // back; unwind our checkpoint too so the caller sees clean state.
-        restore(cx, cp);
+        // back; unwind our transaction too so the caller sees clean state.
+        cx.f.rollback_txn(mark);
         return Err(e);
     }
     // Dead scalars distort the comparison (greedy and global leave
     // different residue), so measure what would actually be emitted.
     dce::run(cx.f);
     let cost = function_cost(cx.f, cx.tm);
-    restore(cx, cp);
+    cx.f.rollback_txn(mark);
     if *cx.fuel_spent {
         return Ok(None);
     }

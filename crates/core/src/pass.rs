@@ -157,21 +157,8 @@ pub(crate) fn try_vectorize_function_with(
     }
     // Scalar fallback anchor: if the function is somehow left broken at
     // the end despite the per-attempt checks, restore the scalar original.
-    // Under the delta strategy this is a whole-pass transaction (the
-    // per-seed transactions nest inside it); under the snapshot and
-    // differential strategies it stays a full clone.
-    enum Anchor {
-        None,
-        Snapshot(Box<Function>),
-        Txn(lslp_ir::TxnMark),
-    }
-    let anchor = if cfg.guard == GuardMode::Off {
-        Anchor::None
-    } else if cfg.rollback == crate::guard::RollbackStrategy::Delta {
-        Anchor::Txn(f.begin_txn())
-    } else {
-        Anchor::Snapshot(Box::new(f.clone()))
-    };
+    // A whole-pass transaction; the per-seed transactions nest inside it.
+    let anchor = (cfg.guard != GuardMode::Off).then(|| f.begin_txn());
 
     // Pack selection: everything between seeding and the reduction pass
     // lives behind the `PackingStrategy` seam (see `crate::packing`).
@@ -191,11 +178,12 @@ pub(crate) fn try_vectorize_function_with(
     if cfg.enable_reductions {
         let reds = guard::run_guarded(
             f,
+            am,
             cfg.guard_policy(),
             "reductions",
             None,
             &mut report.incidents,
-            |f| {
+            |f, am| {
                 let reds = crate::reduce::run_with(f, cfg, tm, am);
                 let mutated = reds.iter().any(|r| r.applied);
                 (reds, mutated)
@@ -215,30 +203,32 @@ pub(crate) fn try_vectorize_function_with(
         // removes what this compile left behind).
         0
     } else {
-        guard::run_guarded(f, cfg.guard_policy(), "dce", None, &mut report.incidents, |f| {
-            let n = dce::run(f);
-            (n, n > 0)
-        })?
+        guard::run_guarded(
+            f,
+            am,
+            cfg.guard_policy(),
+            "dce",
+            None,
+            &mut report.incidents,
+            |f, _| {
+                let n = dce::run(f);
+                (n, n > 0)
+            },
+        )?
         .unwrap_or(0)
     };
     // Final checkpoint: every committed transaction was verified above, so
     // this should never fire — but if it does, fall back to the scalar
     // original rather than emit a broken function.
     match anchor {
-        Anchor::None => {
-            debug_assert!(
-                lslp_ir::verify_function(f).is_ok(),
-                "vectorized function failed verification: {:?}",
-                lslp_ir::verify_function(f)
-            );
-        }
-        anchor @ (Anchor::Snapshot(_) | Anchor::Txn(_)) => {
+        None => debug_assert!(
+            lslp_ir::verify_function(f).is_ok(),
+            "vectorized function failed verification: {:?}",
+            lslp_ir::verify_function(f)
+        ),
+        Some(mark) => {
             if let Err(e) = lslp_ir::verify_function(f) {
-                match anchor {
-                    Anchor::Snapshot(snapshot) => *f = *snapshot,
-                    Anchor::Txn(mark) => f.rollback_txn(mark),
-                    Anchor::None => unreachable!(),
-                }
+                f.rollback_txn(mark);
                 let incident = Incident {
                     pass: "vectorize".into(),
                     seed: None,
@@ -248,20 +238,12 @@ pub(crate) fn try_vectorize_function_with(
                 if cfg.guard == GuardMode::Strict {
                     return Err(GuardError(incident));
                 }
-                report = VectorizeReport {
-                    incidents: {
-                        let mut v = report.incidents;
-                        v.push(incident);
-                        v
-                    },
-                    elapsed: start.elapsed(),
-                    ..VectorizeReport::default()
-                };
-                return Ok(report);
+                let mut incidents = report.incidents;
+                incidents.push(incident);
+                let elapsed = start.elapsed();
+                return Ok(VectorizeReport { incidents, elapsed, ..VectorizeReport::default() });
             }
-            if let Anchor::Txn(mark) = anchor {
-                f.commit_txn(mark);
-            }
+            f.commit_txn(mark);
         }
     }
     report.elapsed = start.elapsed();

@@ -5,15 +5,15 @@
 //! [`PassManager`] that supplies three cross-cutting services so the
 //! passes themselves stay pure transforms:
 //!
-//! * **transactions** — each pass runs inside the
-//!   [`crate::guard::GuardInstrumentation`] before/after-pass hooks
-//!   (snapshot, panic isolation, post-verify, rollback) instead of every
-//!   call site wrapping itself;
+//! * **transactions** — each pass runs inside one
+//!   [`crate::guard::run_guarded`] transaction (delta-log rollback point,
+//!   panic isolation, post-verify, rollback) instead of every call site
+//!   wrapping itself;
 //! * **cached analyses** — passes pull [`AddrInfo`](lslp_analysis::AddrInfo),
 //!   position/use maps, and memory-dependence summaries from the
-//!   [`AnalysisManager`] and declare what they preserve via
-//!   [`PreservedAnalyses`]; the manager invalidates the rest, keyed by the
-//!   function's mutation epoch;
+//!   [`AnalysisManager`], keyed by the function's mutation epoch; after a
+//!   pass the manager catches its entries up from the delta log, or
+//!   recomputes them when the log cannot be replayed;
 //! * **observability** — per-pass wall-clock timers ([`PassTiming`]) and
 //!   named counters ([`Statistics`]) accumulate per run and surface
 //!   through [`crate::PipelineReport`] and `lslpc --print-pass-times
@@ -21,12 +21,12 @@
 
 use std::time::{Duration, Instant};
 
-use lslp_analysis::{AnalysisManager, PreservedAnalyses};
+use lslp_analysis::AnalysisManager;
 use lslp_ir::Function;
 use lslp_target::CostModel;
 
 use crate::config::VectorizerConfig;
-use crate::guard::{GuardError, GuardInstrumentation, GuardMode, GuardPolicy, Incident};
+use crate::guard::{self, GuardError, GuardPolicy, Incident};
 use crate::pass::VectorizeReport;
 use crate::stats::Statistics;
 
@@ -41,53 +41,21 @@ pub struct PassContext<'a> {
     pub stats: &'a Statistics,
 }
 
-/// What a pass run reports back: how much it rewrote and which analyses
-/// survived it.
-#[derive(Clone, Debug)]
-pub struct PassResult {
-    /// Number of rewrites (pass-specific unit: instructions simplified,
-    /// merged, removed, trees vectorized, …).
-    pub rewrites: usize,
-    /// Which cached analyses are still valid for the transformed function.
-    /// Consulted only when the function's epoch actually moved.
-    pub preserved: PreservedAnalyses,
-}
-
-impl PassResult {
-    /// The pass changed nothing: every analysis survives.
-    pub fn unchanged() -> PassResult {
-        PassResult { rewrites: 0, preserved: PreservedAnalyses::all() }
-    }
-
-    /// The pass rewrote `rewrites` things and preserves nothing.
-    pub fn mutated(rewrites: usize) -> PassResult {
-        PassResult { rewrites, preserved: PreservedAnalyses::none() }
-    }
-
-    /// Convention used by the counting passes: a zero count means the
-    /// function was untouched.
-    pub fn from_count(rewrites: usize) -> PassResult {
-        if rewrites == 0 {
-            PassResult::unchanged()
-        } else {
-            PassResult::mutated(rewrites)
-        }
-    }
-}
-
 /// A function transform that runs under the [`PassManager`].
 pub trait Pass {
     /// Stable pass name used in timings, statistics, and incidents.
     fn name(&self) -> &'static str;
 
     /// Transform `f`, pulling analyses from `am` and reporting counters
-    /// through `cx.stats`.
-    fn run(&mut self, f: &mut Function, am: &mut AnalysisManager, cx: &PassContext) -> PassResult;
+    /// through `cx.stats`. Returns the number of rewrites (pass-specific
+    /// unit: instructions simplified, merged, removed, trees vectorized,
+    /// …).
+    fn run(&mut self, f: &mut Function, am: &mut AnalysisManager, cx: &PassContext) -> usize;
 
     /// Whether the pass runs its own internal transactions (the vectorizer
     /// guards per seed). Self-guarded passes are not wrapped in an outer
-    /// snapshot/verify transaction — that would double the snapshot cost
-    /// and re-verify what each inner commit already verified.
+    /// guarded transaction — that would re-verify what each inner commit
+    /// already verified.
     fn self_guarded(&self) -> bool {
         false
     }
@@ -107,7 +75,7 @@ pub struct PassTiming {
 /// Runs passes as guarded transactions and records per-pass timings and
 /// incidents.
 pub struct PassManager {
-    guard: GuardInstrumentation,
+    policy: GuardPolicy,
     timings: Vec<PassTiming>,
     incidents: Vec<Incident>,
 }
@@ -115,11 +83,7 @@ pub struct PassManager {
 impl PassManager {
     /// A pass manager with the given guard policy.
     pub fn new(policy: GuardPolicy) -> PassManager {
-        PassManager {
-            guard: GuardInstrumentation::new(policy),
-            timings: Vec::new(),
-            incidents: Vec::new(),
-        }
+        PassManager { policy, timings: Vec::new(), incidents: Vec::new() }
     }
 
     /// Timings of every pass run so far, in execution order.
@@ -137,21 +101,19 @@ impl PassManager {
         std::mem::take(&mut self.incidents)
     }
 
-    /// Run one pass over `f` as a guarded transaction and keep `am`
-    /// consistent with the outcome:
-    ///
-    /// * commit, function changed — the analyses the pass preserved are
-    ///   re-keyed to the new epoch, the rest are dropped;
-    /// * commit, function untouched — the cache is left warm;
-    /// * rollback — the function's epoch is restored with it (snapshots
-    ///   carry their epoch), but analyses computed against the abandoned
-    ///   intermediate states must go: the cache is cleared.
+    /// Run one pass over `f` as a guarded transaction. `am` stays
+    /// consistent with the outcome through the function's epoch: a commit
+    /// moves it (the commit check has already caught the entries up from
+    /// the delta log, or they are recomputed on the next query), and a
+    /// rollback restores the pre-pass epoch, while entries computed
+    /// against the abandoned intermediate states can no longer be replayed
+    /// and are recomputed.
     ///
     /// Returns the rewrite count (0 when rolled back).
     ///
     /// # Errors
     ///
-    /// Under [`GuardMode::Strict`] the first incident aborts with a
+    /// Under [`crate::GuardMode::Strict`] the first incident aborts with a
     /// [`GuardError`]; in rollback mode incidents are recorded internally
     /// (see [`PassManager::take_incidents`]).
     pub fn run_pass(
@@ -163,40 +125,18 @@ impl PassManager {
     ) -> Result<usize, GuardError> {
         let name = pass.name();
         let started = Instant::now();
-        let pre_epoch = f.epoch();
         let outcome = if pass.self_guarded() {
-            Ok(pass.run(f, am, cx))
+            Ok(Some(pass.run(f, am, cx)))
         } else {
-            self.guard.transact(name, None, f, |f| {
-                let r = pass.run(f, am, cx);
-                let mutated = f.epoch() != pre_epoch;
-                (r, mutated)
+            let pre_epoch = f.epoch();
+            guard::run_guarded(f, am, self.policy, name, None, &mut self.incidents, |f, am| {
+                let rewrites = pass.run(f, am, cx);
+                (rewrites, f.epoch() != pre_epoch)
             })
         };
-        let result = match outcome {
-            Ok(r) => Some(r),
-            Err(incident) => {
-                am.invalidate_all();
-                if self.guard.mode() == GuardMode::Strict {
-                    self.timings.push(PassTiming {
-                        pass: name,
-                        time: started.elapsed(),
-                        rewrites: 0,
-                    });
-                    return Err(GuardError(incident));
-                }
-                self.incidents.push(incident);
-                None
-            }
-        };
-        let rewrites = result.as_ref().map_or(0, |r| r.rewrites);
-        if let Some(r) = &result {
-            if f.epoch() != pre_epoch {
-                am.mark_preserved(f, &r.preserved);
-            }
-        }
+        let rewrites = outcome.as_ref().map_or(0, |r| r.unwrap_or(0));
         self.timings.push(PassTiming { pass: name, time: started.elapsed(), rewrites });
-        Ok(rewrites)
+        outcome.map(|r| r.unwrap_or(0))
     }
 }
 
@@ -214,7 +154,7 @@ impl Pass for IfConvertPass {
         "if-convert"
     }
 
-    fn run(&mut self, f: &mut Function, _am: &mut AnalysisManager, cx: &PassContext) -> PassResult {
+    fn run(&mut self, f: &mut Function, _am: &mut AnalysisManager, cx: &PassContext) -> usize {
         // Flattening the CFG can rewrite the function even when no diamond
         // converts, so mutation is judged by the epoch, not the count.
         let pre = f.epoch();
@@ -222,9 +162,9 @@ impl Pass for IfConvertPass {
         let n = crate::ifconv::run_with(f, swap);
         cx.stats.add(self.name(), "diamonds-converted", n as u64);
         if f.epoch() == pre {
-            PassResult::unchanged()
+            0
         } else {
-            PassResult::mutated(n.max(1))
+            n.max(1)
         }
     }
 }
@@ -239,14 +179,14 @@ impl Pass for UnrollLoopsPass {
         "unroll"
     }
 
-    fn run(&mut self, f: &mut Function, _am: &mut AnalysisManager, cx: &PassContext) -> PassResult {
+    fn run(&mut self, f: &mut Function, _am: &mut AnalysisManager, cx: &PassContext) -> usize {
         let pre = f.epoch();
         let n = crate::unroll::run(f);
         cx.stats.add(self.name(), "loops-unrolled", n as u64);
         if f.epoch() == pre {
-            PassResult::unchanged()
+            0
         } else {
-            PassResult::mutated(n.max(1))
+            n.max(1)
         }
     }
 }
@@ -260,10 +200,10 @@ impl Pass for SimplifyPass {
         "simplify"
     }
 
-    fn run(&mut self, f: &mut Function, _am: &mut AnalysisManager, cx: &PassContext) -> PassResult {
+    fn run(&mut self, f: &mut Function, _am: &mut AnalysisManager, cx: &PassContext) -> usize {
         let n = crate::simplify::run(f, cx.cfg.fast_math);
         cx.stats.add(self.name(), "rewrites", n as u64);
-        PassResult::from_count(n)
+        n
     }
 }
 
@@ -276,10 +216,10 @@ impl Pass for FoldPass {
         "fold"
     }
 
-    fn run(&mut self, f: &mut Function, _am: &mut AnalysisManager, cx: &PassContext) -> PassResult {
+    fn run(&mut self, f: &mut Function, _am: &mut AnalysisManager, cx: &PassContext) -> usize {
         let n = crate::fold::run(f);
         cx.stats.add(self.name(), "constants-folded", n as u64);
-        PassResult::from_count(n)
+        n
     }
 }
 
@@ -293,10 +233,10 @@ impl Pass for CsePass {
         "cse"
     }
 
-    fn run(&mut self, f: &mut Function, am: &mut AnalysisManager, cx: &PassContext) -> PassResult {
+    fn run(&mut self, f: &mut Function, am: &mut AnalysisManager, cx: &PassContext) -> usize {
         let n = crate::cse::run_with(f, am);
         cx.stats.add(self.name(), "insts-merged", n as u64);
-        PassResult::from_count(n)
+        n
     }
 }
 
@@ -309,10 +249,10 @@ impl Pass for DcePass {
         "dce"
     }
 
-    fn run(&mut self, f: &mut Function, _am: &mut AnalysisManager, cx: &PassContext) -> PassResult {
+    fn run(&mut self, f: &mut Function, _am: &mut AnalysisManager, cx: &PassContext) -> usize {
         let n = crate::dce::run(f);
         cx.stats.add(self.name(), "insts-removed", n as u64);
-        PassResult::from_count(n)
+        n
     }
 }
 
@@ -347,9 +287,9 @@ impl Pass for VectorizePass {
         true
     }
 
-    fn run(&mut self, f: &mut Function, am: &mut AnalysisManager, cx: &PassContext) -> PassResult {
+    fn run(&mut self, f: &mut Function, am: &mut AnalysisManager, cx: &PassContext) -> usize {
         let r = crate::pass::try_vectorize_function_with(f, cx.cfg, cx.tm, am);
-        let result = match &r {
+        let rewrites = match &r {
             Ok(rep) => {
                 cx.stats.add(self.name(), "seeds-attempted", rep.attempts.len() as u64);
                 cx.stats.add(self.name(), "trees-vectorized", rep.trees_vectorized as u64);
@@ -357,19 +297,19 @@ impl Pass for VectorizePass {
                 cx.stats.add(self.name(), "extracts", rep.stats.extracts as u64);
                 cx.stats.add(self.name(), "stores-deleted", rep.stats.stores_deleted as u64);
                 cx.stats.add(self.name(), "insts-dce-removed", rep.dce_removed as u64);
-                PassResult { rewrites: rep.trees_vectorized, preserved: PreservedAnalyses::none() }
+                rep.trees_vectorized
             }
-            Err(_) => PassResult { rewrites: 0, preserved: PreservedAnalyses::none() },
+            Err(_) => 0,
         };
         self.outcome = Some(r);
-        result
+        rewrites
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lslp_analysis::AnalysisKind;
+    use crate::guard::GuardMode;
     use lslp_ir::{FunctionBuilder, Type};
 
     fn redundant_kernel() -> Function {
@@ -436,7 +376,7 @@ mod tests {
                 f: &mut Function,
                 am: &mut AnalysisManager,
                 _cx: &PassContext,
-            ) -> PassResult {
+            ) -> usize {
                 f.add_param("junk", Type::I64);
                 let _ = am.addr_info(f); // cache an intermediate-state analysis
                 panic!("injected");
@@ -475,7 +415,7 @@ mod tests {
                 _f: &mut Function,
                 _am: &mut AnalysisManager,
                 _cx: &PassContext,
-            ) -> PassResult {
+            ) -> usize {
                 panic!("injected");
             }
         }
@@ -489,49 +429,5 @@ mod tests {
         let err = pm.run_pass(&mut PanicPass, &mut f, &mut am, &cx).unwrap_err();
         assert_eq!(err.0.pass, "panicky");
         assert_eq!(pm.timings().len(), 1, "aborted runs are still timed");
-    }
-
-    #[test]
-    fn preserving_pass_keeps_declared_analyses() {
-        /// Renames a value: mutates the function but structurally preserves
-        /// positions/uses/addresses.
-        struct RenamePass;
-        impl Pass for RenamePass {
-            fn name(&self) -> &'static str {
-                "rename"
-            }
-            fn run(
-                &mut self,
-                f: &mut Function,
-                _am: &mut AnalysisManager,
-                _cx: &PassContext,
-            ) -> PassResult {
-                let v = f.params()[0];
-                f.set_value_name(v, "renamed");
-                PassResult {
-                    rewrites: 1,
-                    preserved: PreservedAnalyses::none()
-                        .preserve(AnalysisKind::Addr)
-                        .preserve(AnalysisKind::Positions),
-                }
-            }
-        }
-        let mut f = redundant_kernel();
-        let mut am = AnalysisManager::new();
-        let _ = am.addr_info(&f);
-        let _ = am.positions(&f);
-        let _ = am.use_map(&f);
-        let cfg = VectorizerConfig::o3();
-        let tm = CostModel::default();
-        let stats = Statistics::new();
-        let cx = PassContext { cfg: &cfg, tm: &tm, stats: &stats };
-        let mut pm = PassManager::new(GuardPolicy::new(GuardMode::Rollback));
-        pm.run_pass(&mut RenamePass, &mut f, &mut am, &cx).unwrap();
-        let misses = am.cache_stats().misses;
-        let _ = am.addr_info(&f);
-        let _ = am.positions(&f);
-        assert_eq!(am.cache_stats().misses, misses, "preserved analyses stay cached");
-        let _ = am.use_map(&f);
-        assert_eq!(am.cache_stats().misses, misses + 1, "dropped analysis recomputes");
     }
 }

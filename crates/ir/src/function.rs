@@ -351,8 +351,9 @@ impl Function {
         self.log.len()
     }
 
-    /// The set of values touched since `mark`: allocated, renamed,
-    /// rewritten, or inserted into or removed from the body.
+    /// The set of values touched since `mark`: allocated, rewritten, or
+    /// inserted into or removed from the body. Renames are left out: a
+    /// name is not part of what the verifier checks.
     ///
     /// Used by the incremental verifier on commit: an instruction outside
     /// this set none of whose operands is in it kept its payload, its
@@ -364,13 +365,12 @@ impl Function {
         for (_, d) in &self.log[mark.len.min(self.log.len())..] {
             match d {
                 Delta::Alloc { v }
-                | Delta::SetName { v, .. }
                 | Delta::SetInst { v, .. }
                 | Delta::BodyInsert { v, .. }
                 | Delta::BodyRemove { v, .. } => {
                     touched.insert(*v);
                 }
-                Delta::ConstIntern | Delta::ParamPush => {}
+                Delta::ConstIntern | Delta::ParamPush | Delta::SetName { .. } => {}
                 Delta::BodyReplace { .. }
                 | Delta::CfgInit
                 | Delta::CfgBlockAdd
@@ -1433,7 +1433,7 @@ mod tests {
 
     #[test]
     fn clone_mid_txn_restores_consistently() {
-        // Snapshot/differential guards clone mid-transaction; assigning the
+        // Paranoid guards and tests clone mid-transaction; assigning the
         // clone back must restore content, epoch, and log state together.
         let (mut f, _, _) = sample();
         let mark = f.begin_txn();

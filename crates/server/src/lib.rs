@@ -28,11 +28,10 @@
 //!   ([`lslp::VectorizerConfig::time_budget_ms`]), so a pathological
 //!   input degrades to (partially) scalar output instead of stalling a
 //!   worker; panics and miscompiles inside passes are isolated by the
-//!   transactional guard (`docs/GUARD.md`). The guard's default delta-log
-//!   strategy means workers no longer pay a defensive whole-function
-//!   clone per guarded pass and seed attempt — rollback state is the
-//!   reversible mutation log inside the [`Function`](lslp_ir::Function)
-//!   itself;
+//!   transactional guard (`docs/GUARD.md`). The guard's delta-log
+//!   rollback means workers pay no defensive whole-function clone per
+//!   guarded pass and seed attempt — rollback state is the reversible
+//!   mutation log inside the [`Function`](lslp_ir::Function) itself;
 //! * a **watchdog** supervises the worker pool: a worker thread that
 //!   dies outside a drain is respawned (`worker-restarts`), a worker
 //!   busy past the stall threshold gets a supplementary worker spawned
@@ -905,9 +904,8 @@ mod tests {
 
     #[test]
     fn guard_strategy_spellings_are_config_errors() {
-        // The rollback strategies are reference oracles on
-        // `VectorizerConfig::rollback`, not guard modes: the options
-        // builder rejects them like any unknown mode.
+        // The old rollback-strategy spellings are not guard modes: the
+        // options builder rejects them like any unknown mode.
         let s = shared();
         for mode in ["snapshot", "differential"] {
             let r =

@@ -6,7 +6,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lslp::guard::{self, GuardMode, GuardPolicy, IncidentKind};
-use lslp::{run_pipeline, VectorizerConfig};
+use lslp::{run_pipeline, AnalysisManager, VectorizerConfig};
 use lslp_interp::{run_function, Memory};
 use lslp_ir::{parse_function, print_function, verify_function, Function, Terminator};
 use lslp_kernels::{loop_kernels, ElemKind, Kernel};
@@ -278,11 +278,12 @@ fn panic_mid_if_conversion_rolls_back_across_blocks() {
     // — then dies before finishing the transform.
     let r = guard::run_guarded(
         &mut f,
+        &mut AnalysisManager::new(),
         GuardPolicy::new(GuardMode::Rollback),
         "mock-ifconv-crash",
         None,
         &mut incidents,
-        |f: &mut Function| -> ((), bool) {
+        |f: &mut Function, _: &mut AnalysisManager| -> ((), bool) {
             let cfg = f.cfg().expect("diamond");
             let entry = cfg.entry();
             let b3 = cfg.block_ids().nth(3).unwrap();
@@ -316,11 +317,12 @@ fn sabotaged_if_conversion_is_caught_by_the_paranoid_oracle() {
     let policy = GuardPolicy::new(GuardMode::Rollback).paranoid(true);
     let r = guard::run_guarded(
         &mut f,
+        &mut AnalysisManager::new(),
         policy,
         "if-convert",
         None,
         &mut incidents,
-        |f: &mut Function| -> (usize, bool) {
+        |f: &mut Function, _: &mut AnalysisManager| -> (usize, bool) {
             let n = lslp::ifconv::run_with(f, true);
             (n, n > 0)
         },

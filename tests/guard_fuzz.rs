@@ -493,6 +493,67 @@ fn incrementally_maintained_analyses_equal_recomputed_ones() {
     assert!(updates > 1000, "the log catch-up path must be exercised ({updates} updates)");
 }
 
+/// One trial: the scalar pipeline's passes run twice over `f` through one
+/// pass manager and one shared analysis manager, the way the pipeline
+/// runs them; after each pass the manager's entries (caught up by the
+/// guard's commit check, or recomputed) must equal fresh ones. Returns the
+/// number of catch-ups the manager made.
+fn guarded_pass_analyses_check(mut f: lslp_ir::Function) -> Result<u64, String> {
+    use lslp::{
+        CsePass, DcePass, FoldPass, GuardPolicy, IfConvertPass, Pass, PassContext, PassManager,
+        SimplifyPass, Statistics, UnrollLoopsPass,
+    };
+    let (cfg, tm, stats) = (VectorizerConfig::o3(), CostModel::default(), Statistics::new());
+    let cx = PassContext { cfg: &cfg, tm: &tm, stats: &stats };
+    let mut pm = PassManager::new(GuardPolicy::new(GuardMode::Strict));
+    let mut am = lslp_analysis::AnalysisManager::new();
+    analyses_match(&f, &mut am).map_err(|e| format!("before any pass: {e}"))?;
+    for round in 0..2 {
+        let passes: [&mut dyn Pass; 6] = [
+            &mut IfConvertPass,
+            &mut UnrollLoopsPass,
+            &mut SimplifyPass,
+            &mut FoldPass,
+            &mut CsePass,
+            &mut DcePass,
+        ];
+        for pass in passes {
+            let name = pass.name();
+            pm.run_pass(pass, &mut f, &mut am, &cx).map_err(|e| format!("{name}: {e}"))?;
+            analyses_match(&f, &mut am).map_err(|e| format!("round {round}, {name}: {e}"))?;
+        }
+    }
+    Ok(am.cache_stats().updates)
+}
+
+#[test]
+fn analyses_caught_up_through_guarded_scalar_passes_equal_recomputed_ones() {
+    let mut updates = 0;
+    let mix = fnv("guarded-passes");
+    for seed in 0..SEEDS_PER_CONFIG {
+        let gen_cfg = GenConfig {
+            seed: seed.wrapping_mul(0x9e3779b97f4a7c15) ^ mix,
+            groups: 2 + (seed % 3) as usize,
+            lanes: 4,
+            depth: 2 + (seed % 3) as u32,
+            int: seed % 2 == 0,
+            swap_prob: 0.5,
+            arrays: 1 + (seed % 3) as usize,
+        };
+        match guarded_pass_analyses_check(generate(&gen_cfg).function) {
+            Ok(n) => updates += n,
+            Err(e) => panic!("analyses diverged through the passes (gen {gen_cfg:?}): {e}"),
+        }
+    }
+    for k in lslp_kernels::loop_kernels().into_iter().chain(lslp_kernels::suite()) {
+        match guarded_pass_analyses_check(k.compile()) {
+            Ok(n) => updates += n,
+            Err(e) => panic!("analyses diverged through the passes ({}): {e}", k.name),
+        }
+    }
+    assert!(updates > 300, "the guard's commit check must catch entries up ({updates} updates)");
+}
+
 // ---------------------------------------------------------------------------
 // Delta-undo property over the CFG mutation surface
 // ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use lslp::guard::{self, GuardMode, GuardPolicy, IncidentKind, RollbackStrategy};
-use lslp::{try_vectorize_function, VectorizerConfig};
+use lslp::guard::{self, GuardMode, GuardPolicy, IncidentKind};
+use lslp::{try_vectorize_function, AnalysisManager, Sabotage, VectorizerConfig};
 use lslp_ir::{Function, FunctionBuilder, Opcode, Type, ValueId};
 use lslp_target::CostModel;
 
@@ -65,11 +65,12 @@ fn corrupting_pass_rolls_back_bit_for_bit() {
     let mut incidents = Vec::new();
     let r = guard::run_guarded(
         &mut f,
+        &mut AnalysisManager::new(),
         GuardPolicy::new(GuardMode::Rollback),
         "mock-corrupt",
         None,
         &mut incidents,
-        corrupting_pass,
+        |f, _| corrupting_pass(f),
     );
     assert_eq!(r.unwrap(), None, "the transaction must not commit");
     assert_eq!(lslp_ir::print_function(&f), before, "bit-for-bit restore");
@@ -90,11 +91,12 @@ fn corrupting_pass_under_strict_returns_error() {
     let mut incidents = Vec::new();
     let err = guard::run_guarded(
         &mut f,
+        &mut AnalysisManager::new(),
         GuardPolicy::new(GuardMode::Strict),
         "mock-corrupt",
         None,
         &mut incidents,
-        corrupting_pass,
+        |f, _| corrupting_pass(f),
     )
     .unwrap_err();
     assert_eq!(err.0.kind, IncidentKind::VerifyError);
@@ -111,11 +113,12 @@ fn corrupting_pass_under_off_persists_corruption() {
     let mut incidents = Vec::new();
     let r = guard::run_guarded(
         &mut f,
+        &mut AnalysisManager::new(),
         GuardPolicy::new(GuardMode::Off),
         "mock-corrupt",
         None,
         &mut incidents,
-        corrupting_pass,
+        |f, _| corrupting_pass(f),
     );
     assert!(r.unwrap().is_some(), "off mode commits blindly");
     assert!(incidents.is_empty());
@@ -124,7 +127,7 @@ fn corrupting_pass_under_off_persists_corruption() {
 
 #[test]
 fn panicking_pass_is_isolated_per_mode() {
-    let panicking = |f: &mut Function| -> ((), bool) {
+    let panicking = |f: &mut Function, _: &mut AnalysisManager| -> ((), bool) {
         f.add_param("junk", Type::I64); // partial mutation before the crash
         panic!("injected crash");
     };
@@ -135,6 +138,7 @@ fn panicking_pass_is_isolated_per_mode() {
     let mut incidents = Vec::new();
     let r = guard::run_guarded(
         &mut f,
+        &mut AnalysisManager::new(),
         GuardPolicy::new(GuardMode::Rollback),
         "mock-panic",
         None,
@@ -151,6 +155,7 @@ fn panicking_pass_is_isolated_per_mode() {
     let mut f = kernel();
     let err = guard::run_guarded(
         &mut f,
+        &mut AnalysisManager::new(),
         GuardPolicy::new(GuardMode::Strict),
         "mock-panic",
         None,
@@ -166,6 +171,7 @@ fn panicking_pass_is_isolated_per_mode() {
     let propagated = catch_unwind(AssertUnwindSafe(|| {
         let _ = guard::run_guarded(
             &mut f,
+            &mut AnalysisManager::new(),
             GuardPolicy::new(GuardMode::Off),
             "mock-panic",
             None,
@@ -183,11 +189,12 @@ fn miscompiling_pass_caught_only_by_paranoid_oracle() {
     let mut incidents = Vec::new();
     let r = guard::run_guarded(
         &mut f,
+        &mut AnalysisManager::new(),
         GuardPolicy::new(GuardMode::Rollback),
         "mock-miscompile",
         None,
         &mut incidents,
-        miscompiling_pass,
+        |f, _| miscompiling_pass(f),
     );
     assert!(r.unwrap().is_some(), "verification alone cannot see it");
     assert!(incidents.is_empty());
@@ -198,11 +205,12 @@ fn miscompiling_pass_caught_only_by_paranoid_oracle() {
     let before = lslp_ir::print_function(&f);
     let r = guard::run_guarded(
         &mut f,
+        &mut AnalysisManager::new(),
         GuardPolicy::new(GuardMode::Rollback).paranoid(true),
         "mock-miscompile",
         None,
         &mut incidents,
-        miscompiling_pass,
+        |f, _| miscompiling_pass(f),
     );
     assert_eq!(r.unwrap(), None);
     assert_eq!(lslp_ir::print_function(&f), before);
@@ -211,26 +219,37 @@ fn miscompiling_pass_caught_only_by_paranoid_oracle() {
 }
 
 #[test]
-fn differential_strategy_is_clean_across_all_targets() {
-    // The differential strategy runs every rollback twice — delta log and
-    // snapshot — and panics if they ever disagree. Sweeping the kernel
-    // suite across the whole target registry is the strongest "delta
-    // rollback ≡ snapshot rollback" statement the real pass pipeline can
-    // make.
+fn paranoid_rollbacks_restore_every_suite_kernel_byte_for_byte() {
+    // A lane-swapping shuffle planted after every pack's codegen is valid
+    // IR with wrong semantics: the paranoid oracle must catch it inside
+    // the real pass and roll the pack back through the delta log. Across
+    // the kernel suite on every target, each function must come out
+    // printing exactly as a clone taken before the call — a delta-log
+    // undo that loses or misplaces anything shows up here.
+    let cfg = VectorizerConfig {
+        paranoid: true,
+        sabotage: Sabotage::SwapShuffleMask,
+        ..VectorizerConfig::lslp()
+    };
+    let mut mismatches = 0;
     for target in ["sse4.2", "skylake-avx2", "avx512", "neon128"] {
         let tm = CostModel::parse(target).expect("registry names parse");
         for k in lslp_kernels::suite() {
             let mut f = k.compile();
-            let cfg = VectorizerConfig {
-                rollback: RollbackStrategy::Differential,
-                ..VectorizerConfig::lslp()
-            };
+            let before = f.clone();
             let report = try_vectorize_function(&mut f, &cfg, &tm)
                 .unwrap_or_else(|e| panic!("{} on {target}: {e}", k.name));
-            assert!(report.incidents.is_empty(), "{} on {target}: clean suite", k.name);
-            lslp_ir::verify_function(&f).unwrap_or_else(|e| panic!("{} on {target}: {e}", k.name));
+            mismatches +=
+                report.incidents.iter().filter(|i| i.kind == IncidentKind::OracleMismatch).count();
+            assert_eq!(
+                lslp_ir::print_function(&f),
+                lslp_ir::print_function(&before),
+                "{} on {target}: every sabotaged pack must roll back",
+                k.name
+            );
         }
     }
+    assert!(mismatches > 0, "the sweep must actually roll back inside the pass");
 }
 
 // ---------------------------------------------------------------------------
