@@ -6,8 +6,7 @@
 //! constant offsets differ by exactly the access size — the check the SLP
 //! seed collection and load grouping rely on.
 
-use std::collections::{HashMap, HashSet};
-
+use lslp_ir::hash::{HashMap, HashSet};
 use lslp_ir::{Edit, Function, Opcode, PositionMap, UseMap, ValueId};
 
 /// A linear integer expression `Σ coeffᵢ·varᵢ + konst` with opaque variables.
@@ -220,7 +219,7 @@ impl AddrInfo {
         uses: &UseMap,
     ) {
         let mut stale: Vec<ValueId> = Vec::new();
-        let mut seen: HashSet<ValueId> = HashSet::new();
+        let mut seen: HashSet<ValueId> = HashSet::default();
         for edit in edits {
             match *edit {
                 Edit::Insert { v, .. } | Edit::Remove { v } => stale.push(v),

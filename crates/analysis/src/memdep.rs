@@ -8,8 +8,7 @@
 //! here lets the [`crate::AnalysisManager`] cache it alongside the address
 //! analysis instead of every consumer re-deriving aliasing pairwise.
 
-use std::collections::HashMap;
-
+use lslp_ir::hash::HashMap;
 use lslp_ir::{Function, Opcode, ValueId};
 
 use crate::addr::{AddrInfo, MemLoc};
@@ -34,7 +33,7 @@ impl MemDep {
     /// aliasing store of another base from running maxima, then tests only
     /// its own base's stores newer than that, newest first.
     pub fn analyze(f: &Function, addr: &AddrInfo) -> MemDep {
-        let mut load_epoch = HashMap::new();
+        let mut load_epoch = HashMap::default();
         // Stores are numbered from 1 in body order; 0 means "none".
         let mut num_stores = 0;
         // The latest store with no location.
@@ -46,7 +45,7 @@ impl MemDep {
         // entry whose base is not `b`.
         let mut recent: [(Option<ValueId>, usize); 2] = [(None, 0); 2];
         // Every located store, grouped by base, in body order.
-        let mut by_base: HashMap<ValueId, Vec<(usize, &MemLoc)>> = HashMap::new();
+        let mut by_base: HashMap<ValueId, Vec<(usize, &MemLoc)>> = HashMap::default();
         for (_, id, inst) in f.iter_body() {
             match inst.op {
                 Opcode::Store => {
@@ -181,7 +180,7 @@ mod tests {
     /// The all-stores scan `analyze` replaced: every load tests every
     /// earlier store, newest first.
     fn reference(f: &Function, addr: &AddrInfo) -> (HashMap<ValueId, usize>, usize) {
-        let mut load_epoch = HashMap::new();
+        let mut load_epoch = HashMap::default();
         let mut stores: Vec<ValueId> = Vec::new();
         for (_, id, inst) in f.iter_body() {
             match inst.op {

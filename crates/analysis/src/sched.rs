@@ -13,8 +13,7 @@
 //! for straight-line code. Both checks cost O(the window between the
 //! earliest and the latest member).
 
-use std::collections::HashSet;
-
+use lslp_ir::hash::HashSet;
 use lslp_ir::{Function, Opcode, PositionMap, ValueId};
 
 use crate::addr::AddrInfo;
@@ -63,7 +62,7 @@ fn ssa_independent(f: &Function, positions: &PositionMap, bundle: &[ValueId]) ->
         return false;
     }
     let lo = bundle.iter().filter_map(|&v| positions.key(v)).min().expect("members are keyed");
-    let mut seen: HashSet<ValueId> = HashSet::new();
+    let mut seen: HashSet<ValueId> = HashSet::default();
     let mut stack: Vec<ValueId> = Vec::new();
     for &m in bundle {
         stack.extend_from_slice(f.args_of(m));
@@ -399,7 +398,7 @@ mod tests {
         let mut b = FunctionBuilder::new(&mut f);
         let s1 = b.add(x, x);
         let s2 = b.add(x, x);
-        let mut dead = HashSet::new();
+        let mut dead = HashSet::default();
         dead.insert(s2);
         let positions_before = pos(&f);
         f.remove_from_body(&dead);
@@ -454,7 +453,7 @@ mod hoist_dominance_tests {
 /// random straight-line functions.
 #[cfg(test)]
 mod walk_tests {
-    use std::collections::HashMap;
+    use lslp_ir::hash::HashMap;
 
     use proptest::prelude::*;
 
@@ -488,7 +487,7 @@ mod walk_tests {
 
     /// The reference: `depends_on` both ways for every pair of lanes.
     fn pairwise_independent(f: &Function, bundle: &[ValueId]) -> bool {
-        let mut cache = HashMap::new();
+        let mut cache = HashMap::default();
         bundle.iter().enumerate().all(|(i, &a)| {
             bundle[i + 1..]
                 .iter()

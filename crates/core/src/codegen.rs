@@ -18,10 +18,10 @@
 //! seed stores are removed one by one, so a tree's commit edits and logs
 //! only its own instructions: O(tree), not O(body).
 
-use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use lslp_analysis::{AnalysisManager, PositionMap};
+use lslp_ir::hash::{HashMap, HashSet};
 use lslp_ir::{Constant, Function, InstAttr, Opcode, Type, ValueId};
 use lslp_target::TargetSpec;
 
@@ -264,7 +264,7 @@ impl<'a> Codegen<'a> {
     /// Rewire external uses of vectorized scalars through extracts when the
     /// user is positioned after the node's vector instruction.
     fn rewire_external_uses(&mut self) {
-        let mut per_scalar_extract: HashMap<ValueId, ValueId> = HashMap::new();
+        let mut per_scalar_extract: HashMap<ValueId, ValueId> = HashMap::default();
         // Deterministic order: walk nodes, then lanes.
         for (node_id, node) in self.graph.nodes().iter().enumerate() {
             if !node.is_vectorizable() {
@@ -401,10 +401,10 @@ fn generate_tree_cached(
         tm,
         positions,
         uses,
-        queued: HashMap::new(),
-        vec_vals: HashMap::new(),
-        emit_pos: HashMap::new(),
-        dead_stores: HashSet::new(),
+        queued: HashMap::default(),
+        vec_vals: HashMap::default(),
+        emit_pos: HashMap::default(),
+        dead_stores: HashSet::default(),
         stats: CodegenStats::default(),
     };
     let root = graph.root();

@@ -5,6 +5,7 @@
 //! gathering non-vectorizable operands into vector registers, plus one
 //! extract per vectorized scalar that has a user outside the tree.
 
+use lslp_ir::hash::HashSet;
 use lslp_ir::{Function, Opcode, UseMap, ValueId};
 use lslp_target::CostModel;
 
@@ -69,7 +70,7 @@ fn has_external_use(
     graph: &SlpGraph,
     use_map: &UseMap,
     s: ValueId,
-    doomed: &std::collections::HashSet<ValueId>,
+    doomed: &HashSet<ValueId>,
 ) -> bool {
     use_map.uses(s).iter().any(|u| !graph.contains(u.user) && !doomed.contains(&u.user))
 }
@@ -78,7 +79,7 @@ fn has_external_use(
 ///
 /// `use_map` must be a fresh [`Function::use_map`] snapshot.
 pub fn graph_cost(f: &Function, graph: &SlpGraph, tm: &CostModel, use_map: &UseMap) -> CostReport {
-    graph_cost_excluding(f, graph, tm, use_map, &std::collections::HashSet::new())
+    graph_cost_excluding(f, graph, tm, use_map, &HashSet::default())
 }
 
 /// Like [`graph_cost`], but uses by the `doomed` instructions do not count
@@ -89,7 +90,7 @@ pub fn graph_cost_excluding(
     graph: &SlpGraph,
     tm: &CostModel,
     use_map: &UseMap,
-    doomed: &std::collections::HashSet<ValueId>,
+    doomed: &HashSet<ValueId>,
 ) -> CostReport {
     let per_node: Vec<i64> = graph.nodes().iter().map(|n| node_cost(f, n, tm)).collect();
     // Nodes detached by throttling cuts contribute nothing: they are never
@@ -99,7 +100,7 @@ pub fn graph_cost_excluding(
     let mut extract_cost = 0;
     // Scalars referenced by reachable gather nodes stay alive; treat those
     // references as external uses of the vectorized value.
-    let mut gathered: std::collections::HashSet<ValueId> = std::collections::HashSet::new();
+    let mut gathered: HashSet<ValueId> = HashSet::default();
     for (id, n) in graph.nodes().iter().enumerate() {
         if reach[id] {
             if let NodeKind::Gather { .. } = n.kind {

@@ -5,10 +5,8 @@
 //! occurrence. Loads are merged only when no possibly-aliasing store
 //! intervenes; stores are barriers and never merged.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
 use lslp_analysis::AnalysisManager;
+use lslp_ir::hash::{Entry, HashMap, HashSet};
 use lslp_ir::{Function, InstAttr, Module, Opcode, Type, ValueId};
 
 #[derive(PartialEq, Eq, Hash)]
@@ -32,11 +30,11 @@ pub fn run(f: &mut Function) -> usize {
 /// [`run`], pulling the memory-dependence summary from `am`'s cache.
 pub fn run_with(f: &mut Function, am: &mut AnalysisManager) -> usize {
     let memdep = am.memdep(f);
-    let mut table: HashMap<Key, ValueId> = HashMap::new();
+    let mut table: HashMap<Key, ValueId> = HashMap::default();
     // Map from merged-away values to their representative, applied eagerly
     // while scanning so chains of duplicates (dup gep feeding dup load)
     // merge in a single pass, then handed to one batched use rewrite.
-    let mut resolved: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut resolved: HashMap<ValueId, ValueId> = HashMap::default();
     let resolve = |resolved: &HashMap<ValueId, ValueId>, v: ValueId| -> ValueId {
         resolved.get(&v).copied().unwrap_or(v)
     };
@@ -67,7 +65,7 @@ pub fn run_with(f: &mut Function, am: &mut AnalysisManager) -> usize {
     }
 
     f.replace_uses_with(&resolved);
-    f.remove_from_body(&resolved.keys().copied().collect());
+    f.remove_from_body(&resolved.keys().copied().collect::<HashSet<_>>());
     resolved.len()
 }
 

@@ -6,8 +6,7 @@
 //! are side-effecting and never removed here — the vectorizer deletes the
 //! scalar stores it replaces explicitly.
 
-use std::collections::HashSet;
-
+use lslp_ir::hash::HashSet;
 use lslp_ir::{Function, Module, ValueId};
 
 /// Remove side-effect-free instructions with no users, transitively (an
@@ -30,7 +29,7 @@ pub fn run(f: &mut Function) -> usize {
     };
     let mut work: Vec<ValueId> =
         f.body().iter().copied().filter(|&v| uses[v.index()] == 0 && removable(f, v)).collect();
-    let mut dead: HashSet<ValueId> = HashSet::new();
+    let mut dead: HashSet<ValueId> = HashSet::default();
     while let Some(v) = work.pop() {
         if !dead.insert(v) {
             continue;

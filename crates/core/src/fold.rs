@@ -5,8 +5,7 @@
 //! [`crate::dce`] this forms the scalar `-O3`-style pipeline that precedes
 //! the vectorizer (see [`crate::pipeline`]).
 
-use std::collections::HashMap;
-
+use lslp_ir::hash::{HashMap, HashSet};
 use lslp_ir::{
     Constant, FloatPred, Function, InstAttr, IntPred, Module, Opcode, ScalarType, ValueId,
 };
@@ -216,7 +215,7 @@ pub(crate) fn resolve_operands(
 pub fn run(f: &mut Function) -> usize {
     let mut folded = 0;
     loop {
-        let mut replaced = HashMap::new();
+        let mut replaced = HashMap::default();
         for id in f.body().to_vec() {
             resolve_operands(f, id, &replaced);
             if let Some(c) = fold_inst(f, id) {
@@ -229,7 +228,7 @@ pub fn run(f: &mut Function) -> usize {
         }
         folded += replaced.len();
         f.replace_uses_with(&replaced);
-        f.remove_from_body(&replaced.into_keys().collect());
+        f.remove_from_body(&replaced.into_keys().collect::<HashSet<_>>());
     }
 }
 

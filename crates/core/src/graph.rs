@@ -11,11 +11,11 @@
 //! instructions of the same opcode are coarsened into a [`NodeKind::MultiNode`]
 //! whose whole operand frontier is reordered at once.
 
-use std::collections::HashMap;
 use std::fmt;
 
 pub use lslp_analysis::Placement;
 use lslp_analysis::{bundle_schedulable, load_placement, AddrInfo};
+use lslp_ir::hash::HashMap;
 use lslp_ir::{Function, Opcode, PositionMap, UseMap, ValueId};
 use lslp_target::TargetSpec;
 
@@ -276,8 +276,8 @@ impl<'a> GraphBuilder<'a> {
             positions,
             use_map,
             nodes: Vec::new(),
-            in_tree: HashMap::new(),
-            bundle_cache: HashMap::new(),
+            in_tree: HashMap::default(),
+            bundle_cache: HashMap::default(),
         }
     }
 

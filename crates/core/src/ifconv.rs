@@ -21,8 +21,7 @@
 //! ends in a jump to the join — anything richer (nested control flow in an
 //! arm) is converted inside-out by the fixpoint loop below.
 
-use std::collections::{HashMap, HashSet};
-
+use lslp_ir::hash::{HashMap, HashSet};
 use lslp_ir::{BlockId, Function, InstAttr, Module, Opcode, Terminator, ValueId};
 
 /// Can this instruction be executed unconditionally?
@@ -180,7 +179,7 @@ pub(crate) fn flatten_linear_cfg(f: &mut Function) -> bool {
     // Read-only scan first: mutate nothing until the whole chain is known
     // to be linear, so a bail-out leaves the function untouched.
     let mut chain = Vec::new();
-    let mut visited = HashSet::new();
+    let mut visited = HashSet::default();
     let mut cur = cfg.entry();
     loop {
         if !visited.insert(cur) {
@@ -198,7 +197,7 @@ pub(crate) fn flatten_linear_cfg(f: &mut Function) -> bool {
     // parameter of an earlier block in the chain; one batched rewrite then
     // applies every substitution.
     let mut body = Vec::new();
-    let mut subst: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut subst: HashMap<ValueId, ValueId> = HashMap::default();
     for &b in &chain {
         body.extend_from_slice(f.block(b).insts());
         if let Terminator::Jump { target, args } = f.block(b).term().clone() {

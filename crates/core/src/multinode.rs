@@ -7,8 +7,7 @@
 //! do not escape the chain (single use). The chain's remaining operands form
 //! the multi-node frontier, which is reordered as one unit.
 
-use std::collections::HashMap;
-
+use lslp_ir::hash::HashMap;
 use lslp_ir::{Function, Opcode, UseMap, ValueId};
 
 /// One lane of a multi-node: the chain instructions (root first, in
@@ -141,7 +140,7 @@ mod tests {
     fn unbounded_chain_absorbs_whole_tree() {
         let (f, root, leaves) = chain4();
         let um = f.use_map();
-        let chain = build_lane_chain(&f, &um, &HashMap::new(), root, usize::MAX);
+        let chain = build_lane_chain(&f, &um, &HashMap::default(), root, usize::MAX);
         assert_eq!(chain.insts.len(), 3);
         assert_eq!(chain.operands.len(), 4);
         for l in leaves {
@@ -153,7 +152,7 @@ mod tests {
     fn cap_one_is_vanilla() {
         let (f, root, _) = chain4();
         let um = f.use_map();
-        let chain = build_lane_chain(&f, &um, &HashMap::new(), root, 1);
+        let chain = build_lane_chain(&f, &um, &HashMap::default(), root, 1);
         assert_eq!(chain.insts, vec![root]);
         assert_eq!(chain.operands.len(), 2);
     }
@@ -162,7 +161,7 @@ mod tests {
     fn cap_two_stops_early() {
         let (f, root, _) = chain4();
         let um = f.use_map();
-        let chain = build_lane_chain(&f, &um, &HashMap::new(), root, 2);
+        let chain = build_lane_chain(&f, &um, &HashMap::default(), root, 2);
         assert_eq!(chain.insts.len(), 2);
         assert_eq!(chain.operands.len(), 3);
     }
@@ -182,7 +181,7 @@ mod tests {
         b.store(root, p);
         b.store(ab, q); // ab escapes
         let um = f.use_map();
-        let chain = build_lane_chain(&f, &um, &HashMap::new(), root, usize::MAX);
+        let chain = build_lane_chain(&f, &um, &HashMap::default(), root, usize::MAX);
         assert_eq!(chain.insts, vec![root]);
         assert!(chain.operands.contains(&ab));
     }
@@ -200,7 +199,7 @@ mod tests {
         let root = b.and(o, c);
         b.store(root, p);
         let um = f.use_map();
-        let chain = build_lane_chain(&f, &um, &HashMap::new(), root, usize::MAX);
+        let chain = build_lane_chain(&f, &um, &HashMap::default(), root, usize::MAX);
         assert_eq!(chain.insts, vec![root]);
         assert_eq!(chain.operands, vec![o, c]);
     }
@@ -211,7 +210,7 @@ mod tests {
         let um = f.use_map();
         // Mark the first inner `and` as already claimed by the graph.
         let inner = f.args_of(root)[0];
-        let mut in_tree = HashMap::new();
+        let mut in_tree = HashMap::default();
         in_tree.insert(inner, 0usize);
         let chain = build_lane_chain(&f, &um, &in_tree, root, usize::MAX);
         assert_eq!(chain.insts, vec![root]);
@@ -234,7 +233,7 @@ mod tests {
         b.store(r1, p);
         let um = f.use_map();
         let chains =
-            form_multinode(&f, &um, &HashMap::new(), &[r0, r1], Opcode::And, usize::MAX, true);
+            form_multinode(&f, &um, &HashMap::default(), &[r0, r1], Opcode::And, usize::MAX, true);
         assert_eq!(chains[0].insts.len(), 2);
         assert_eq!(chains[1].insts.len(), 2);
         assert_eq!(chains[0].operands.len(), 3);
@@ -251,9 +250,9 @@ mod tests {
         let r = b.fadd(x1, a);
         b.store(r, p);
         let um = f.use_map();
-        let strict = form_multinode(&f, &um, &HashMap::new(), &[r], Opcode::FAdd, 8, false);
+        let strict = form_multinode(&f, &um, &HashMap::default(), &[r], Opcode::FAdd, 8, false);
         assert_eq!(strict[0].insts.len(), 1, "no FP reassociation without fast-math");
-        let fast = form_multinode(&f, &um, &HashMap::new(), &[r], Opcode::FAdd, 8, true);
+        let fast = form_multinode(&f, &um, &HashMap::default(), &[r], Opcode::FAdd, 8, true);
         assert_eq!(fast[0].insts.len(), 2);
     }
 }

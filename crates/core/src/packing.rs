@@ -25,11 +25,11 @@
 //! and the function degrades to (partially vectorized or scalar) greedy
 //! output rather than stalling.
 
-use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::time::Instant;
 
 use lslp_analysis::{AddrInfo, AnalysisManager, MemLoc, PositionMap};
+use lslp_ir::hash::{HashMap, HashSet};
 use lslp_ir::{Function, Opcode, Type, UseMap, ValueId};
 use lslp_target::CostModel;
 
@@ -369,7 +369,7 @@ impl Strategy for GreedyStrategy {
 }
 
 fn run_greedy(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
-    let mut tried: HashSet<Vec<ValueId>> = HashSet::new();
+    let mut tried: HashSet<Vec<ValueId>> = HashSet::default();
     'restart: loop {
         let mut an = Analyses::of(cx);
         let chains = collect_store_chains(cx.f, &an.addr);
@@ -546,9 +546,9 @@ fn run_global_plan(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
     // it a failing planned pack would be re-planned forever; without
     // `costed` a pack costed in round 1 but planned in round 2 would
     // starve behind the `tried` gate.
-    let mut tried: HashSet<Vec<ValueId>> = HashSet::new();
-    let mut costed: HashMap<Vec<ValueId>, (i64, usize)> = HashMap::new();
-    let mut failed: HashSet<Vec<ValueId>> = HashSet::new();
+    let mut tried: HashSet<Vec<ValueId>> = HashSet::default();
+    let mut costed: HashMap<Vec<ValueId>, (i64, usize)> = HashMap::default();
+    let mut failed: HashSet<Vec<ValueId>> = HashSet::default();
     'restart: loop {
         fuel_check(cx)?;
         if *cx.fuel_spent {

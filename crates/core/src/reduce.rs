@@ -14,9 +14,8 @@
 //! `ext_reductions` binary of `lslp-bench` measures its effect as an
 //! extension study.
 
-use std::collections::HashSet;
-
 use lslp_analysis::{AnalysisManager, PositionMap};
+use lslp_ir::hash::{HashMap, HashSet};
 use lslp_ir::{Function, InstAttr, Opcode, UseMap, ValueId};
 use lslp_target::CostModel;
 
@@ -62,7 +61,7 @@ pub fn find_candidates(
     cfg: &VectorizerConfig,
     tm: &CostModel,
 ) -> Vec<ReductionCandidate> {
-    let empty = std::collections::HashMap::new();
+    let empty = HashMap::default();
     let mut out = Vec::new();
     for (_, id, inst) in f.iter_body() {
         if !(inst.op.is_commutative() && inst.op.is_associative(cfg.fast_math)) {
@@ -230,7 +229,7 @@ pub fn run_with(
     am: &mut AnalysisManager,
 ) -> Vec<ReductionAttempt> {
     let mut attempts = Vec::new();
-    let mut tried: HashSet<ValueId> = HashSet::new();
+    let mut tried: HashSet<ValueId> = HashSet::default();
     'restart: loop {
         let use_map = am.use_map(f);
         let positions = am.positions(f);

@@ -6,6 +6,7 @@
 //! constant offsets are consecutive multiples of the access size.
 
 use lslp_analysis::AddrInfo;
+use lslp_ir::hash::HashMap;
 use lslp_ir::{Function, Opcode, ValueId};
 
 /// A maximal run of consecutive stores, in increasing address order.
@@ -39,8 +40,7 @@ pub fn collect_store_chains(f: &Function, addr: &AddrInfo) -> Vec<StoreChain> {
         terms: Vec<(ValueId, i64)>,
         bytes: u32,
     }
-    let mut groups: std::collections::HashMap<Key, Vec<(i64, usize, ValueId)>> =
-        std::collections::HashMap::new();
+    let mut groups: HashMap<Key, Vec<(i64, usize, ValueId)>> = HashMap::default();
     for (pos, id, inst) in f.iter_body() {
         if inst.op != Opcode::Store {
             continue;

@@ -6,8 +6,7 @@
 //! (mirroring LLVM's canonicalization, which the paper's kernels were
 //! subject to before reaching the SLP pass).
 
-use std::collections::HashMap;
-
+use lslp_ir::hash::{HashMap, HashSet};
 use lslp_ir::{Constant, Function, Module, Opcode, ValueId};
 
 use crate::fold::resolve_operands;
@@ -173,7 +172,7 @@ fn simplify_inst(f: &Function, id: ValueId, fast_math: bool) -> Option<Action> {
 pub fn run(f: &mut Function, fast_math: bool) -> usize {
     let mut rewrites = 0;
     loop {
-        let mut replaced = HashMap::new();
+        let mut replaced = HashMap::default();
         for id in f.body().to_vec() {
             resolve_operands(f, id, &replaced);
             match simplify_inst(f, id, fast_math) {
@@ -200,7 +199,7 @@ pub fn run(f: &mut Function, fast_math: bool) -> usize {
         }
         rewrites += replaced.len();
         f.replace_uses_with(&replaced);
-        f.remove_from_body(&replaced.into_keys().collect());
+        f.remove_from_body(&replaced.into_keys().collect::<HashSet<_>>());
     }
 }
 

@@ -13,8 +13,7 @@
 //! correctness — a gather of instruction results is always legal — so the
 //! DP can choose the cost-minimal frontier.
 
-use std::collections::HashSet;
-
+use lslp_ir::hash::HashSet;
 use lslp_ir::{Function, UseMap, ValueId};
 use lslp_target::CostModel;
 

@@ -17,8 +17,7 @@
 //! when `trip × body-instructions ≤` [`UNROLL_BUDGET`]; larger loops keep
 //! their CFG and simply stay scalar.
 
-use std::collections::{HashMap, HashSet};
-
+use lslp_ir::hash::{HashMap, HashSet};
 use lslp_ir::{BlockId, Function, Module, Terminator, ValueId};
 
 /// Maximum `trip × body-instruction` product a loop may have and still be
@@ -39,7 +38,7 @@ struct Region {
 fn scan_region(f: &Function, body: BlockId) -> Option<Region> {
     let cfg = f.cfg()?;
     let mut chain = Vec::new();
-    let mut visited = HashSet::new();
+    let mut visited = HashSet::default();
     let mut insts = 0;
     let mut cur = body;
     loop {
@@ -115,7 +114,7 @@ fn unroll_at(f: &mut Function, header: BlockId, region: &Region) {
 
     let mut carried: Vec<ValueId> = init.clone();
     for k in 0..trip {
-        let mut map: HashMap<ValueId, ValueId> = HashMap::new();
+        let mut map: HashMap<ValueId, ValueId> = HashMap::default();
         let kc = f.const_i64(k);
         map.insert(*iv, kc);
         for (&p, &v) in carried_params.iter().zip(&carried) {
@@ -148,7 +147,7 @@ fn unroll_at(f: &mut Function, header: BlockId, region: &Region) {
     // bypass the loop entirely.
     let exit_params = f.block(exit).params().to_vec();
     debug_assert_eq!(exit_params.len(), carried.len(), "verified exit arity");
-    let mut exit_map: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut exit_map: HashMap<ValueId, ValueId> = HashMap::default();
     for (p, v) in exit_params.into_iter().zip(carried) {
         let r = resolve(&exit_map, v);
         exit_map.insert(p, r);

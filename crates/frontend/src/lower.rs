@@ -1,7 +1,6 @@
 //! Type checking and lowering of SLC to IR.
 
-use std::collections::{HashMap, HashSet};
-
+use lslp_ir::hash::{HashMap, HashSet};
 use lslp_ir::{
     BlockId, FloatPred, Function, InstAttr, IntPred, Module, Opcode, ScalarType, Terminator, Type,
     ValueId,
@@ -465,9 +464,9 @@ impl Lowerer {
 fn lower_kernel(k: &Kernel) -> Result<Function, CompileError> {
     let mut lw = Lowerer {
         f: Function::new(k.name.clone()),
-        arrays: HashMap::new(),
-        scalars: HashMap::new(),
-        muts: HashSet::new(),
+        arrays: HashMap::default(),
+        scalars: HashMap::default(),
+        muts: HashSet::default(),
         cur: None,
         in_loop: false,
     };

@@ -1,9 +1,9 @@
 //! The IR interpreter.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
+use lslp_ir::hash::HashMap;
 use lslp_ir::{
     BlockId, Constant, FloatPred, Function, Inst, InstAttr, IntPred, Opcode, ScalarType,
     Terminator, Type, ValueData, ValueId,
@@ -568,7 +568,7 @@ pub fn run_function_costed(
         )));
     }
     let mut interp =
-        Interp { f, mem, env: HashMap::new(), stats: ExecStats::default(), cost, cycles: 0 };
+        Interp { f, mem, env: HashMap::default(), stats: ExecStats::default(), cost, cycles: 0 };
     for (&p, v) in f.params().iter().zip(args) {
         interp.env.insert(p, v.clone());
     }

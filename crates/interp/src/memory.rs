@@ -1,8 +1,8 @@
 //! The interpreter's value domain and flat byte-addressed memory.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use lslp_ir::hash::HashMap;
 use lslp_ir::ScalarType;
 
 /// A runtime value.

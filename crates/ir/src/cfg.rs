@@ -18,8 +18,8 @@
 //! This is exactly the shape the unroll-and-SLP pass consumes, and it
 //! keeps verification and interpretation simple and total.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
 
 use crate::value::ValueId;
 
@@ -137,7 +137,10 @@ impl Terminator {
     /// Rewrite every value operand through `map` (used by
     /// [`crate::Function::replace_uses_with`] on CFG functions). Returns
     /// `true` when anything changed.
-    pub(crate) fn rewrite_operands(&mut self, map: &HashMap<ValueId, ValueId>) -> bool {
+    pub(crate) fn rewrite_operands<S: BuildHasher>(
+        &mut self,
+        map: &std::collections::HashMap<ValueId, ValueId, S>,
+    ) -> bool {
         let mut changed = false;
         let mut fix = |v: &mut ValueId| {
             if let Some(&new) = map.get(v) {
@@ -238,6 +241,7 @@ impl Cfg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::HashMap;
 
     #[test]
     fn block_ids_display_as_labels() {
@@ -277,7 +281,7 @@ mod tests {
             else_to: BlockId::from_raw(2),
             else_args: vec![b, a],
         };
-        let map = HashMap::from([(a, b)]);
+        let map = HashMap::from_iter([(a, b)]);
         assert!(t.rewrite_operands(&map));
         assert_eq!(t.value_operands(), vec![b, b, b, b, b]);
         assert!(!t.rewrite_operands(&map), "nothing left to rewrite");

@@ -17,10 +17,11 @@
 //! recorded per instruction, so [`Function::edits_since`] lets analyses
 //! catch up with a commit in O(changes) (see [`crate::PositionMap`]).
 
-use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cfg::{Block, BlockId, Cfg, Terminator};
+use crate::hash::{HashMap, HashSet};
 use crate::inst::{Inst, InstAttr, Opcode};
 use crate::maps::{PositionMap, UseMap};
 use crate::types::Type;
@@ -215,12 +216,12 @@ pub struct Function {
 
 /// Rewrite `user`'s operands through `map`, logging its previous payload
 /// when `logging`. Untouched instructions are neither cloned nor logged.
-fn rewrite_args(
+fn rewrite_args<S: BuildHasher>(
     values: &mut [ValueData],
     log: &mut Vec<(u64, Delta)>,
     logging: Option<u64>,
     user: ValueId,
-    map: &HashMap<ValueId, ValueId>,
+    map: &std::collections::HashMap<ValueId, ValueId, S>,
 ) {
     let ValueData::Inst(inst) = &mut values[user.index()] else { return };
     if !inst.args.iter().any(|a| map.contains_key(a)) {
@@ -247,7 +248,7 @@ impl Function {
             body: Vec::new(),
             consts: Vec::new(),
             const_vals: Vec::new(),
-            const_lookup: HashMap::new(),
+            const_lookup: HashMap::default(),
             log: Vec::new(),
             log_base: 0,
             txn_depth: 0,
@@ -361,7 +362,7 @@ impl Function {
     /// have become invalid. `None` when the window holds a whole-body or
     /// CFG edit, which names no instructions (verify in full then).
     pub fn touched_since(&self, mark: TxnMark) -> Option<HashSet<ValueId>> {
-        let mut touched = HashSet::new();
+        let mut touched = HashSet::default();
         for (_, d) in &self.log[mark.len.min(self.log.len())..] {
             match d {
                 Delta::Alloc { v }
@@ -772,7 +773,7 @@ impl Function {
     /// one-entry [`Function::replace_uses_with`]; each call sweeps the whole
     /// function, so callers with many replacements batch them instead.
     pub fn replace_uses(&mut self, old: ValueId, new: ValueId) {
-        self.replace_uses_with(&HashMap::from([(old, new)]));
+        self.replace_uses_with(&HashMap::from_iter([(old, new)]));
     }
 
     /// Replace every use of each key of `map` with its value, in one sweep
@@ -781,7 +782,10 @@ impl Function {
     /// a key is not looked up again. Inside a transaction each rewritten
     /// instruction logs one `SetInst` and each rewritten terminator one
     /// `CfgSetTerm`. An empty map is a no-op.
-    pub fn replace_uses_with(&mut self, map: &HashMap<ValueId, ValueId>) {
+    pub fn replace_uses_with<S: BuildHasher>(
+        &mut self,
+        map: &std::collections::HashMap<ValueId, ValueId, S>,
+    ) {
         if map.is_empty() {
             return;
         }
@@ -808,7 +812,10 @@ impl Function {
 
     /// Remove the given instructions from the body (they become orphans),
     /// logging one removal per instruction. An empty set is a no-op.
-    pub fn remove_from_body(&mut self, dead: &HashSet<ValueId>) {
+    pub fn remove_from_body<S: BuildHasher>(
+        &mut self,
+        dead: &std::collections::HashSet<ValueId, S>,
+    ) {
         if dead.is_empty() {
             return;
         }
@@ -949,7 +956,7 @@ impl Function {
     /// list with duplicates or non-instructions.
     pub fn set_block_insts(&mut self, b: BlockId, insts: Vec<ValueId>) {
         assert!(self.cfg.as_ref().is_some_and(|c| c.contains(b)), "set_block_insts: no block {b}");
-        let mut seen = HashSet::with_capacity(insts.len());
+        let mut seen = HashSet::with_capacity_and_hasher(insts.len(), Default::default());
         for &v in &insts {
             assert!(self.is_inst(v), "set_block_insts: {v} is not an instruction");
             assert!(seen.insert(v), "set_block_insts: {v} appears twice");
@@ -991,7 +998,7 @@ impl Function {
     /// duplicates or non-instructions.
     pub fn dissolve_cfg(&mut self, new_body: Vec<ValueId>) {
         assert!(self.cfg.is_some(), "dissolve_cfg on a straight-line function");
-        let mut seen = HashSet::with_capacity(new_body.len());
+        let mut seen = HashSet::with_capacity_and_hasher(new_body.len(), Default::default());
         for &v in &new_body {
             assert!(self.is_inst(v), "dissolve_cfg: {v} is not an instruction");
             assert!(seen.insert(v), "dissolve_cfg: {v} appears twice");
@@ -1101,7 +1108,7 @@ mod tests {
         let z = f.push(Opcode::Mul, Type::I64, vec![x, y], InstAttr::None);
         let w = f.push(Opcode::Sub, Type::I64, vec![y, a], InstAttr::None);
         // Simultaneous substitution: `a` becomes `b` and `b` becomes `a`.
-        f.replace_uses_with(&HashMap::from([(y, x), (a, b), (b, a)]));
+        f.replace_uses_with(&HashMap::from_iter([(y, x), (a, b), (b, a)]));
         assert_eq!(f.args_of(x), &[b, a]);
         assert_eq!(f.args_of(z), &[x, x]);
         assert_eq!(f.args_of(w), &[x, b]);
@@ -1124,7 +1131,7 @@ mod tests {
         f.set_term(entry, Terminator::Jump { target: join, args: vec![s] });
         let g = f.push_in_block(join, Opcode::Gep, Type::PTR, vec![a, m], InstAttr::ElemBytes(8));
         f.push_in_block(join, Opcode::Store, Type::Void, vec![m, g], InstAttr::None);
-        f.replace_uses_with(&HashMap::from([(c7, c9), (s, i), (m, c9)]));
+        f.replace_uses_with(&HashMap::from_iter([(c7, c9), (s, i), (m, c9)]));
         assert_eq!(f.args_of(s), &[i, c9]);
         assert_eq!(f.block(entry).term(), &Terminator::Jump { target: join, args: vec![i] });
         assert_eq!(f.args_of(g), &[a, c9]);
@@ -1138,7 +1145,7 @@ mod tests {
         let mark = f.begin_txn();
         let zero = f.const_i64(0);
         let a = f.params()[0];
-        f.replace_uses_with(&HashMap::from([(add, zero), (a, zero)]));
+        f.replace_uses_with(&HashMap::from_iter([(add, zero), (a, zero)]));
         assert_eq!(f.args_of(mul), &[zero, zero]);
         assert_ne!(print_function(&f), before);
         f.rollback_txn(mark);
@@ -1151,8 +1158,8 @@ mod tests {
         let (mut f, _, _) = sample();
         let e0 = f.epoch();
         let mark = f.begin_txn();
-        f.replace_uses_with(&HashMap::new());
-        f.remove_from_body(&HashSet::new());
+        f.replace_uses_with(&HashMap::default());
+        f.remove_from_body(&HashSet::default());
         assert_eq!(f.epoch(), e0);
         assert_eq!(f.delta_len(), 0, "nothing is logged");
         f.commit_txn(mark);
@@ -1161,7 +1168,7 @@ mod tests {
     #[test]
     fn remove_from_body_orphans_instructions() {
         let (mut f, add, _mul) = sample();
-        let mut dead = HashSet::new();
+        let mut dead = HashSet::default();
         dead.insert(add);
         f.remove_from_body(&dead);
         assert_eq!(f.body_len(), 1);
@@ -1283,7 +1290,7 @@ mod tests {
             i.args.swap(0, 1);
         }
         f.replace_uses(add, c);
-        let mut dead = HashSet::new();
+        let mut dead = HashSet::default();
         dead.insert(add);
         f.remove_from_body(&dead);
         let moved = f.remove_at(0);
@@ -1358,7 +1365,7 @@ mod tests {
         assert!(touched.contains(&s));
         assert!(touched.contains(&mul));
         assert!(!touched.contains(&add));
-        f.remove_from_body(&HashSet::from([add]));
+        f.remove_from_body(&HashSet::from_iter([add]));
         assert!(f.touched_since(mark).unwrap().contains(&add), "removals count");
         f.rollback_txn(mark);
     }

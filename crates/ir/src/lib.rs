@@ -44,6 +44,7 @@
 mod builder;
 mod cfg;
 mod function;
+pub mod hash;
 mod inst;
 mod maps;
 mod parser;

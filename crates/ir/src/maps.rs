@@ -6,9 +6,8 @@
 //! of being recomputed: [`crate::Function::edits_since`] lists what changed
 //! and [`PositionMap::apply`] / [`UseMap::apply`] replay it.
 
-use std::collections::HashMap;
-
 use crate::function::{Edit, Function};
+use crate::hash::HashMap;
 use crate::inst::Inst;
 use crate::value::ValueId;
 
@@ -191,7 +190,7 @@ impl UseMap {
             payload: Option<&'a Inst>,
         }
         let mut order = Vec::new();
-        let mut before: HashMap<ValueId, Before<'_>> = HashMap::new();
+        let mut before: HashMap<ValueId, Before<'_>> = HashMap::default();
         for edit in edits {
             let (v, in_body, payload) = match *edit {
                 Edit::Insert { v, .. } => (v, Some(false), None),

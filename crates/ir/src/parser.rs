@@ -1,11 +1,11 @@
 //! Parser for the textual IR format produced by [`crate::print_function`].
 
-use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
 use crate::cfg::{BlockId, Terminator};
 use crate::function::{Function, Module};
+use crate::hash::{HashMap, HashSet};
 use crate::inst::{FloatPred, InstAttr, IntPred, Opcode};
 use crate::types::{ScalarType, Type};
 use crate::value::{Constant, ValueId};
@@ -608,7 +608,7 @@ impl<'s> Parser<'s> {
             other => return Err(self.err(format!("expected `@name`, found {other}"))),
         };
         let mut f = Function::new(name);
-        let mut names: HashMap<String, ValueId> = HashMap::new();
+        let mut names: HashMap<String, ValueId> = HashMap::default();
         self.expect(&Tok::LParen)?;
         if self.tok != Tok::RParen {
             loop {
@@ -762,7 +762,7 @@ impl<'s> Parser<'s> {
         names: &mut HashMap<String, ValueId>,
     ) -> Result<(), ParseError> {
         f.init_cfg();
-        let mut defined: HashSet<u32> = HashSet::new();
+        let mut defined: HashSet<u32> = HashSet::default();
         while self.tok != Tok::RBrace {
             let label = self.expect_ident()?;
             let b = self.block_id_of(f, &label)?;

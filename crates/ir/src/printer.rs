@@ -11,11 +11,11 @@
 //! }
 //! ```
 
-use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use crate::cfg::Terminator;
 use crate::function::{Function, Module, ValueData};
+use crate::hash::{HashMap, HashSet};
 use crate::inst::{Inst, InstAttr, Opcode};
 use crate::value::ValueId;
 
@@ -42,7 +42,7 @@ struct Namer {
 
 impl Namer {
     fn new(f: &Function) -> Namer {
-        let mut n = Namer { names: HashMap::new(), taken: HashSet::new(), next: 0 };
+        let mut n = Namer { names: HashMap::default(), taken: HashSet::default(), next: 0 };
         for &p in f.params() {
             let base = sanitize(f.value_name(p).unwrap_or("arg"));
             n.assign(p, base);

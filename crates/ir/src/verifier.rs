@@ -1,11 +1,11 @@
 //! Structural and type verification of functions.
 
-use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
 use crate::cfg::{BlockId, Terminator};
 use crate::function::{Function, Module, ValueData};
+use crate::hash::{HashMap, HashSet};
 use crate::inst::{Inst, InstAttr, Opcode};
 use crate::maps::{PositionMap, UseMap};
 use crate::types::Type;
@@ -296,7 +296,7 @@ fn verify_cfg(f: &Function) -> Result<(), VerifyError> {
 
     // Reachability from the entry, rejecting branches to missing blocks.
     let mut reach: Vec<BlockId> = Vec::new();
-    let mut seen: HashSet<BlockId> = HashSet::new();
+    let mut seen: HashSet<BlockId> = HashSet::default();
     let mut stack = vec![entry];
     seen.insert(entry);
     while let Some(b) = stack.pop() {
@@ -314,8 +314,8 @@ fn verify_cfg(f: &Function) -> Result<(), VerifyError> {
     // Block membership: every listed instruction is an instruction and
     // appears in exactly one reachable block; parameters are block
     // parameters owned by exactly one block.
-    let mut inst_seen: HashSet<ValueId> = HashSet::new();
-    let mut param_seen: HashSet<ValueId> = HashSet::new();
+    let mut inst_seen: HashSet<ValueId> = HashSet::default();
+    let mut param_seen: HashSet<ValueId> = HashSet::default();
     for &b in &reach {
         for &p in cfg.block(b).params() {
             if p.index() >= f.num_values() || !f.is_block_param(p) {
@@ -337,14 +337,14 @@ fn verify_cfg(f: &Function) -> Result<(), VerifyError> {
     }
 
     // Predecessors and iterative dominators over the reachable subgraph.
-    let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+    let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::default();
     for &b in &reach {
         for s in cfg.block(b).term().successors() {
             preds.entry(s).or_default().push(b);
         }
     }
     let all: HashSet<BlockId> = reach.iter().copied().collect();
-    let mut dom: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
+    let mut dom: HashMap<BlockId, HashSet<BlockId>> = HashMap::default();
     dom.insert(entry, [entry].into_iter().collect());
     for &b in reach.iter().skip(1) {
         dom.insert(b, all.clone());
@@ -372,7 +372,7 @@ fn verify_cfg(f: &Function) -> Result<(), VerifyError> {
 
     // Loop regions: walk each loop body, rejecting nesting, returns, and
     // direct escapes to the exit; every region leaf must be a `continue`.
-    let mut region_of: HashMap<BlockId, BlockId> = HashMap::new();
+    let mut region_of: HashMap<BlockId, BlockId> = HashMap::default();
     for &h in &reach {
         let Terminator::Loop { body, exit, .. } = cfg.block(h).term() else {
             continue;
@@ -422,7 +422,7 @@ fn verify_cfg(f: &Function) -> Result<(), VerifyError> {
     // Per-block operand visibility (dominance), instruction type rules, and
     // terminator shape.
     for &b in &reach {
-        let mut visible: HashSet<ValueId> = HashSet::new();
+        let mut visible: HashSet<ValueId> = HashSet::default();
         for d in &dom[&b] {
             visible.extend(cfg.block(*d).params().iter().copied());
             if d != &b {
@@ -616,8 +616,8 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
         return verify_cfg(f);
     }
     let checker = Checker { f };
-    let mut seen = HashSet::new();
-    let mut defined: HashSet<ValueId> = HashSet::new();
+    let mut seen = HashSet::default();
+    let mut defined: HashSet<ValueId> = HashSet::default();
     for &id in f.body() {
         if !seen.insert(id) {
             return Err(checker.err(Some(id), "instruction appears twice in body"));
@@ -736,7 +736,7 @@ mod tests {
         let a = f.add_param("a", Type::I64);
         // Create an instruction, remove it from the body, then use it.
         let orphan = f.push(Opcode::Add, Type::I64, vec![a, a], InstAttr::None);
-        let mut dead = HashSet::new();
+        let mut dead = HashSet::default();
         dead.insert(orphan);
         f.remove_from_body(&dead);
         f.push(Opcode::Add, Type::I64, vec![orphan, a], InstAttr::None);
@@ -758,7 +758,7 @@ mod tests {
         let mut f = Function::new("bad");
         let a = f.add_param("a", Type::I64);
         let orphan = f.push(Opcode::Add, Type::I64, vec![a, a], InstAttr::None);
-        let mut dead = HashSet::new();
+        let mut dead = HashSet::default();
         dead.insert(orphan);
         f.remove_from_body(&dead);
         let user = f.push(Opcode::Add, Type::I64, vec![orphan, a], InstAttr::None);
@@ -866,7 +866,7 @@ mod tests {
         let err = touched_verdict(&f, &touched).unwrap_err();
         assert_eq!(err.value, Some(bad));
         f.rollback_txn(mark);
-        assert!(touched_verdict(&f, &HashSet::new()).is_ok());
+        assert!(touched_verdict(&f, &HashSet::default()).is_ok());
     }
 
     /// The incremental verifier over freshly computed maps.
@@ -895,7 +895,7 @@ mod tests {
         let err = touched_verdict(&f, &f.touched_since(mark).unwrap()).unwrap_err();
         assert!(err.message.contains("orphaned"), "{err}");
         f.rollback_txn(mark);
-        assert!(touched_verdict(&f, &HashSet::from([x])).is_ok());
+        assert!(touched_verdict(&f, &HashSet::from_iter([x])).is_ok());
     }
 
     #[test]
@@ -1091,7 +1091,7 @@ mod tests {
         f.push_in_block(exit, Opcode::Store, Type::Void, vec![sum, a], InstAttr::None);
         verify_function(&f).unwrap();
         // The incremental entry delegates to the full CFG verifier.
-        touched_verdict(&f, &HashSet::new()).unwrap();
+        touched_verdict(&f, &HashSet::default()).unwrap();
     }
 
     #[test]

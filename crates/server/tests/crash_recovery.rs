@@ -7,7 +7,7 @@
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lslp::{CompileOptions, Session};
 use lslp_server::protocol::CompileRequest;
@@ -216,11 +216,18 @@ fn chaos_daemon_killed_mid_run_restarts_warm_and_correct() {
             });
         }
     });
-    // Let the watchdog census catch up with the last panic.
-    std::thread::sleep(Duration::from_millis(200));
+    // The watchdog counts a respawn at its first census after the panic:
+    // poll until one shows, or the deadline passes.
     let mut client = connect(&addr);
-    let health = client.retry_line("HEALTH", &policy).response.expect("HEALTH answered");
-    let restarts: u64 = health.field("worker-restarts").unwrap().parse().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let (health, restarts) = loop {
+        let health = client.retry_line("HEALTH", &policy).response.expect("HEALTH answered");
+        let restarts: u64 = health.field("worker-restarts").unwrap().parse().unwrap();
+        if restarts >= 1 || Instant::now() >= deadline {
+            break (health, restarts);
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
     assert!(restarts >= 1, "the watchdog respawned panicked workers: {health:?}");
     drop(client);
     child.kill().expect("SIGKILL lslpd");
@@ -248,6 +255,25 @@ fn chaos_daemon_killed_mid_run_restarts_warm_and_correct() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One snapshot of `/proc/<pid>/task`: each thread's id, name and nice
+/// value.
+#[cfg(target_os = "linux")]
+fn threads(pid: u32) -> Vec<(u32, String, i64)> {
+    let mut out = Vec::new();
+    for task in std::fs::read_dir(format!("/proc/{pid}/task")).expect("task list") {
+        let task = task.unwrap().path();
+        let tid: u32 = task.file_name().unwrap().to_str().unwrap().parse().unwrap();
+        let comm = std::fs::read_to_string(task.join("comm")).unwrap();
+        let stat = std::fs::read_to_string(task.join("stat")).unwrap();
+        // Fields after the parenthesised command start at field 3; the
+        // nice value is field 19.
+        let after = &stat[stat.rfind(')').expect("stat names the command") + 2..];
+        let nice: i64 = after.split(' ').nth(19 - 3).unwrap().parse().unwrap();
+        out.push((tid, comm.trim().to_string(), nice));
+    }
+    out
+}
+
 /// The compile workers run at nice 10 so cache hits, answered on the
 /// event loop, do not wait for a CPU behind a compile; the event loop
 /// (the main thread) keeps nice 0.
@@ -257,20 +283,27 @@ fn compile_workers_run_at_nice_ten_and_the_event_loop_at_zero() {
     let dir = std::env::temp_dir().join(format!("lslp-nice-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (mut child, addr) = spawn_daemon(&dir, &[]);
-    // A compile round-trip: the workers are up and have entered their loop.
+    // A compile round-trip proves only that one worker has entered its
+    // loop: each worker names itself and lowers its own priority after it
+    // starts. Poll the task list until both have, or the deadline passes.
     assert!(connect(&addr).compile(&request(SRC_A)).unwrap().ok);
     let pid = child.id();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let tasks = loop {
+        let tasks = threads(pid);
+        let settled = tasks.iter().filter(|(_, comm, nice)| comm == "lslpd-worker" && *nice == 10);
+        if settled.count() == 2 || Instant::now() >= deadline {
+            break tasks;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    // Stop the daemon before asserting, so a failure does not leak it.
+    child.kill().expect("SIGKILL lslpd");
+    child.wait().expect("reap lslpd");
+    let _ = std::fs::remove_dir_all(&dir);
     let mut workers = 0;
-    for task in std::fs::read_dir(format!("/proc/{pid}/task")).expect("task list") {
-        let task = task.unwrap().path();
-        let comm = std::fs::read_to_string(task.join("comm")).unwrap();
-        let stat = std::fs::read_to_string(task.join("stat")).unwrap();
-        // Fields after the parenthesised command start at field 3; the
-        // nice value is field 19.
-        let after = &stat[stat.rfind(')').expect("stat names the command") + 2..];
-        let nice: i64 = after.split(' ').nth(19 - 3).unwrap().parse().unwrap();
-        let tid: u32 = task.file_name().unwrap().to_str().unwrap().parse().unwrap();
-        if comm.trim() == "lslpd-worker" {
+    for (tid, comm, nice) in tasks {
+        if comm == "lslpd-worker" {
             workers += 1;
             assert_eq!(nice, 10, "worker thread {tid} runs at nice {nice}");
         } else if tid == pid {
@@ -278,7 +311,4 @@ fn compile_workers_run_at_nice_ten_and_the_event_loop_at_zero() {
         }
     }
     assert_eq!(workers, 2, "both compile workers are named lslpd-worker");
-    child.kill().expect("SIGKILL lslpd");
-    child.wait().expect("reap lslpd");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -395,6 +395,17 @@ fn pool_evicts_broken_and_reaps_idle_connections() {
 
     // Health-checked reuse: a pooled connection idle past
     // health_check_after (but under idle_timeout) is PINGed before reuse.
+    // A pool of its own, whose idle timeout no scheduling delay reaches,
+    // so the sleep below cannot overshoot into reaping.
+    let pool = Pool::new(PoolConfig {
+        max_size: 2,
+        idle_timeout: Duration::from_secs(60),
+        health_check_after: Duration::from_millis(10),
+        ..PoolConfig::new(addr.to_string())
+    });
+    {
+        let _c = pool.acquire().unwrap();
+    }
     std::thread::sleep(Duration::from_millis(20));
     {
         let mut c = pool.acquire().unwrap();

@@ -2,7 +2,7 @@
 //! pool, real shutdown — including the self-healing paths (injected
 //! worker panics, persistent-cache restarts, health probes).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lslp_server::chaos::ChaosConfig;
 use lslp_server::protocol::{CompileRequest, ErrorKind};
@@ -251,9 +251,16 @@ fn health_probe_reports_ready_with_live_workers() {
     let mut client = Client::connect(addr).unwrap();
     client.set_timeout(Some(Duration::from_secs(30))).unwrap();
 
-    // Give the watchdog a tick to take its first census.
-    std::thread::sleep(Duration::from_millis(100));
-    let h = client.health().unwrap();
+    // The pool counts as alive once the watchdog has spawned it: poll
+    // until it has, or the deadline passes.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let h = loop {
+        let h = client.health().unwrap();
+        if h.field("workers-alive") != Some("0") || Instant::now() >= deadline {
+            break h;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
     assert!(h.ok, "{h:?}");
     assert_eq!(h.field("status"), Some("ready"));
     assert_eq!(h.field("degraded"), Some("0"));
@@ -295,10 +302,17 @@ fn injected_worker_panics_are_typed_healed_and_drained() {
     assert_eq!(outcome.attempts, 3);
     assert!(outcome.response.is_some(), "typed ERR, not a dead transport");
 
-    // Let the watchdog census catch up, then check the healing is visible.
-    std::thread::sleep(Duration::from_millis(200));
-    let h = client.health().unwrap();
-    let restarts: u64 = h.field("worker-restarts").unwrap().parse().unwrap();
+    // The watchdog counts a respawn at its first census after the panic:
+    // poll until one shows, or the deadline passes.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let (h, restarts) = loop {
+        let h = client.health().unwrap();
+        let restarts: u64 = h.field("worker-restarts").unwrap().parse().unwrap();
+        if restarts >= 1 || Instant::now() >= deadline {
+            break (h, restarts);
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
     assert!(restarts >= 1, "watchdog respawned panicked workers: {h:?}");
     let stats = client.stats().unwrap();
     assert!(stats.payload.contains("server - worker-restarts"), "{}", stats.payload);
