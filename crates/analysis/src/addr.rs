@@ -7,17 +7,21 @@
 //! seed collection and load grouping rely on.
 
 use lslp_ir::hash::{HashMap, HashSet};
-use lslp_ir::{Edit, Function, Opcode, PositionMap, UseMap, ValueId};
+use lslp_ir::{Edit, Function, InlineVec, Opcode, PositionMap, UseMap, ValueId};
+
+/// Inline capacity of [`LinExpr`]'s terms: addresses in straight-line
+/// kernels carry one or two variables, so a few terms never allocate.
+const INLINE_TERMS: usize = 4;
 
 /// A linear integer expression `Σ coeffᵢ·varᵢ + konst` with opaque variables.
 ///
 /// Terms are kept sorted by variable handle with no zero coefficients, so
-/// structural equality is semantic equality of the symbolic form.
+/// structural equality is semantic equality of the symbolic form. Every
+/// constructor and operation keeps that normal form, which is why the
+/// terms are only readable from outside.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct LinExpr {
-    /// `(variable, coefficient)` pairs, sorted by variable, coefficients
-    /// non-zero.
-    pub terms: Vec<(ValueId, i64)>,
+    terms: InlineVec<(ValueId, i64), INLINE_TERMS>,
     /// The constant part.
     pub konst: i64,
 }
@@ -25,49 +29,75 @@ pub struct LinExpr {
 impl LinExpr {
     /// The constant expression `k`.
     pub fn constant(k: i64) -> LinExpr {
-        LinExpr { terms: Vec::new(), konst: k }
+        LinExpr { terms: InlineVec::new(), konst: k }
     }
 
     /// The single-variable expression `v`.
     pub fn var(v: ValueId) -> LinExpr {
-        LinExpr { terms: vec![(v, 1)], konst: 0 }
+        LinExpr { terms: [(v, 1)].into_iter().collect(), konst: 0 }
     }
 
-    fn normalize(mut self) -> LinExpr {
-        self.terms.sort_by_key(|&(v, _)| v);
-        let mut out: Vec<(ValueId, i64)> = Vec::with_capacity(self.terms.len());
-        for (v, c) in self.terms {
-            match out.last_mut() {
-                Some((lv, lc)) if *lv == v => *lc = lc.wrapping_add(c),
-                _ => out.push((v, c)),
+    /// The `(variable, coefficient)` pairs, sorted by variable, with
+    /// non-zero coefficients.
+    pub fn terms(&self) -> &[(ValueId, i64)] {
+        &self.terms
+    }
+
+    /// `self + k·other`, as one merge of the two sorted term lists that
+    /// sums the coefficients of shared variables and drops zero sums.
+    fn merge(&self, other: &LinExpr, k: i64) -> LinExpr {
+        let (a, b) = (self.terms(), other.terms());
+        let mut terms = InlineVec::new();
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let (v, c) = match (a.get(i), b.get(j)) {
+                (Some(&(va, ca)), Some(&(vb, cb))) if va == vb => {
+                    i += 1;
+                    j += 1;
+                    (va, ca.wrapping_add(cb.wrapping_mul(k)))
+                }
+                (Some(&(va, ca)), Some(&(vb, _))) if va < vb => {
+                    i += 1;
+                    (va, ca)
+                }
+                (Some(&(va, ca)), None) => {
+                    i += 1;
+                    (va, ca)
+                }
+                (_, Some(&(vb, cb))) => {
+                    j += 1;
+                    (vb, cb.wrapping_mul(k))
+                }
+                (None, None) => unreachable!("loop condition"),
+            };
+            if c != 0 {
+                terms.push((v, c));
             }
         }
-        out.retain(|&(_, c)| c != 0);
-        self.terms = out;
-        self
+        LinExpr { terms, konst: self.konst.wrapping_add(other.konst.wrapping_mul(k)) }
     }
 
     /// `self + other`.
     pub fn add(&self, other: &LinExpr) -> LinExpr {
-        let mut terms = self.terms.clone();
-        terms.extend_from_slice(&other.terms);
-        LinExpr { terms, konst: self.konst.wrapping_add(other.konst) }.normalize()
+        self.merge(other, 1)
     }
 
     /// `self - other`.
     pub fn sub(&self, other: &LinExpr) -> LinExpr {
-        let mut terms = self.terms.clone();
-        terms.extend(other.terms.iter().map(|&(v, c)| (v, c.wrapping_neg())));
-        LinExpr { terms, konst: self.konst.wrapping_sub(other.konst) }.normalize()
+        self.merge(other, -1)
     }
 
     /// `self * k`.
     pub fn scale(&self, k: i64) -> LinExpr {
         LinExpr {
-            terms: self.terms.iter().map(|&(v, c)| (v, c.wrapping_mul(k))).collect(),
+            terms: self
+                .terms
+                .iter()
+                .map(|&(v, c)| (v, c.wrapping_mul(k)))
+                .filter(|&(_, c)| c != 0)
+                .collect(),
             konst: self.konst.wrapping_mul(k),
         }
-        .normalize()
     }
 
     /// Whether the expression is a plain constant.
@@ -90,11 +120,10 @@ impl AddrExpr {
     /// The constant byte distance `other - self`, when both addresses share
     /// the base and the variable terms. `None` means "unknown distance".
     pub fn distance_to(&self, other: &AddrExpr) -> Option<i64> {
-        if self.base != other.base {
-            return None;
-        }
-        let d = other.offset.sub(&self.offset);
-        d.is_constant().then_some(d.konst)
+        // Both offsets are in normal form, so they differ by a constant
+        // exactly when their terms are equal.
+        (self.base == other.base && self.offset.terms == other.offset.terms)
+            .then(|| other.offset.konst.wrapping_sub(self.offset.konst))
     }
 }
 
@@ -396,7 +425,7 @@ mod tests {
         let w = ValueId::from_raw(2);
         let e = LinExpr::var(v).scale(3).add(&LinExpr::var(w)).add(&LinExpr::constant(5));
         let f = e.sub(&LinExpr::var(w));
-        assert_eq!(f.terms, vec![(v, 3)]);
+        assert_eq!(f.terms(), &[(v, 3)]);
         assert_eq!(f.konst, 5);
         let z = f.sub(&LinExpr::var(v).scale(3));
         assert!(z.is_constant());
@@ -436,5 +465,132 @@ mod negative_offset_tests {
         assert_eq!(ai.distance(l0, lm1), Some(-8));
         assert!(ai.consecutive(lj1, lj));
         assert_eq!(ai.distance(lj, lj1), Some(-8));
+    }
+}
+
+#[cfg(test)]
+mod algebra_tests {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::test_rng::Rng;
+
+    /// The normalize-based algebra the sorted merge replaced: concatenate
+    /// the term lists, sort by variable, sum equal variables, drop zeros.
+    mod reference {
+        use lslp_ir::ValueId;
+
+        pub type Terms = Vec<(ValueId, i64)>;
+
+        fn normalize(mut terms: Terms) -> Terms {
+            terms.sort_by_key(|&(v, _)| v);
+            let mut out: Terms = Vec::with_capacity(terms.len());
+            for (v, c) in terms {
+                match out.last_mut() {
+                    Some((lv, lc)) if *lv == v => *lc = lc.wrapping_add(c),
+                    _ => out.push((v, c)),
+                }
+            }
+            out.retain(|&(_, c)| c != 0);
+            out
+        }
+
+        pub fn add(a: &Terms, b: &Terms) -> Terms {
+            normalize(a.iter().chain(b).copied().collect())
+        }
+
+        pub fn sub(a: &Terms, b: &Terms) -> Terms {
+            normalize(
+                a.iter().copied().chain(b.iter().map(|&(v, c)| (v, c.wrapping_neg()))).collect(),
+            )
+        }
+
+        pub fn scale(a: &Terms, k: i64) -> Terms {
+            normalize(a.iter().map(|&(v, c)| (v, c.wrapping_mul(k))).collect())
+        }
+    }
+
+    /// Coefficients that stress wrapping and cancellation: extremes, small
+    /// values that cancel each other, and powers of two whose products
+    /// wrap to zero.
+    fn coeff(r: &mut Rng) -> i64 {
+        match r.below(6) {
+            0 => [i64::MIN, i64::MAX, -1, 1][r.below(4)],
+            1 => 1i64 << r.below(63),
+            2 => -(1i64 << r.below(63)),
+            3 => r.next() as i64,
+            _ => r.below(7) as i64 - 3,
+        }
+    }
+
+    /// A normalized expression of 0–6 terms over 8 variables, built with
+    /// the operations under test so it is in normal form, plus the same
+    /// terms under the reference algebra.
+    fn expr(r: &mut Rng) -> (LinExpr, reference::Terms) {
+        let mut e = LinExpr::constant(coeff(r));
+        let mut terms = Vec::new();
+        for _ in 0..r.below(7) {
+            let v = ValueId::from_raw(r.below(8) as u32);
+            let c = coeff(r);
+            e = e.add(&LinExpr::var(v).scale(c));
+            terms = reference::add(&terms, &reference::scale(&vec![(v, 1)], c));
+        }
+        (e, terms)
+    }
+
+    fn check(e: &LinExpr, want: &reference::Terms, konst: i64) {
+        assert_eq!(e.terms(), &want[..]);
+        assert_eq!(e.konst, konst);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        #[test]
+        fn merge_matches_the_normalizing_algebra(seed in any::<u64>()) {
+            let mut r = Rng(seed);
+            let (a, ta) = expr(&mut r);
+            let (b, tb) = expr(&mut r);
+            check(&a, &ta, a.konst);
+            let k = coeff(&mut r);
+            check(&a.add(&b), &reference::add(&ta, &tb), a.konst.wrapping_add(b.konst));
+            check(&a.sub(&b), &reference::sub(&ta, &tb), a.konst.wrapping_sub(b.konst));
+            check(&a.scale(k), &reference::scale(&ta, k), a.konst.wrapping_mul(k));
+            // Cancellation: an expression minus itself is the constant 0.
+            let z = a.sub(&a);
+            prop_assert!(z.is_constant() && z.konst == 0);
+            for (base_a, base_b) in [(0, 0), (0, 1)] {
+                let x = AddrExpr { base: ValueId::from_raw(100 + base_a), offset: a.clone() };
+                let y = AddrExpr { base: ValueId::from_raw(100 + base_b), offset: b.clone() };
+                let d = reference::sub(&tb, &ta);
+                let want = (base_a == base_b && d.is_empty())
+                    .then(|| b.konst.wrapping_sub(a.konst));
+                prop_assert_eq!(x.distance_to(&y), want);
+            }
+            let at = |offset: LinExpr| AddrExpr { base: ValueId::from_raw(7), offset };
+            prop_assert_eq!(at(a.clone()).distance_to(&at(a.add(&LinExpr::constant(k)))), Some(k));
+        }
+    }
+
+    #[test]
+    fn terms_spill_past_the_inline_capacity_and_cancel_back() {
+        let vars: Vec<LinExpr> = (0..6).map(|i| LinExpr::var(ValueId::from_raw(i))).collect();
+        let mut e = LinExpr::constant(3);
+        for v in &vars {
+            e = e.add(&v.scale(i64::MIN));
+        }
+        assert_eq!(e.terms().len(), 6);
+        assert!(e.terms().len() > INLINE_TERMS, "the terms spill past the inline capacity");
+        // i64::MIN + i64::MIN wraps to 0: every term cancels.
+        let z = e.add(&e);
+        assert!(z.is_constant(), "{z:?}");
+        assert_eq!(z.konst, 6);
+        // Scaling by 2 wraps every i64::MIN coefficient to zero too.
+        assert_eq!(e.scale(2), LinExpr::constant(6));
+        let back = vars.iter().fold(e.clone(), |acc, v| acc.sub(&v.scale(i64::MIN)));
+        assert_eq!(back, LinExpr::constant(3));
+        let base = ValueId::from_raw(100);
+        let at = |offset: LinExpr| AddrExpr { base, offset };
+        assert_eq!(at(e.clone()).distance_to(&at(e.add(&LinExpr::constant(-5)))), Some(-5));
     }
 }

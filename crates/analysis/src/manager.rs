@@ -284,6 +284,18 @@ impl AnalysisManager {
         u
     }
 
+    /// The position and use maps for the current state of `f`, only when
+    /// both are already cached (caught up from the delta log if the epoch
+    /// moved); nothing is computed. For checks that have a full-function
+    /// fallback and want the maps only when they cost nothing.
+    pub fn cached_maps(&mut self, f: &Function) -> Option<(Rc<PositionMap>, Rc<UseMap>)> {
+        self.refresh(f);
+        let maps = (Rc::clone(self.positions.as_ref()?), Rc::clone(self.uses.as_ref()?));
+        self.hit(AnalysisKind::Positions);
+        self.hit(AnalysisKind::Uses);
+        Some(maps)
+    }
+
     /// The memory-dependence summary for the current state of `f`
     /// (computes the address analysis first if needed).
     pub fn memdep(&mut self, f: &Function) -> Rc<MemDep> {

@@ -14,7 +14,7 @@
 //! earliest and the latest member).
 
 use lslp_ir::hash::HashSet;
-use lslp_ir::{Function, Opcode, PositionMap, ValueId};
+use lslp_ir::{Function, InlineVec, Opcode, PositionMap, ValueId};
 
 use crate::addr::AddrInfo;
 use crate::alias::may_alias;
@@ -42,6 +42,51 @@ fn mem_conflict(f: &Function, addr: &AddrInfo, m: ValueId, x: ValueId) -> bool {
     }
 }
 
+/// Values a [`SmallSet`] holds inline, and bundle lanes whose body
+/// indices stay inline: the vectorizer's widest factor is 16 lanes.
+const INLINE_VALUES: usize = 16;
+
+/// A set of values that scans a short inline list and moves to a hash
+/// set once the list is full, so small sets allocate nothing.
+#[derive(Default)]
+struct SmallSet {
+    small: InlineVec<ValueId, INLINE_VALUES>,
+    large: HashSet<ValueId>,
+}
+
+impl SmallSet {
+    fn of(values: &[ValueId]) -> SmallSet {
+        let mut set = SmallSet::default();
+        for &v in values {
+            set.insert(v);
+        }
+        set
+    }
+
+    /// Add `v`; whether it was absent.
+    fn insert(&mut self, v: ValueId) -> bool {
+        if self.large.is_empty() {
+            if self.small.contains(&v) {
+                return false;
+            }
+            if self.small.len() < INLINE_VALUES {
+                self.small.push(v);
+                return true;
+            }
+            self.large.extend(self.small.iter().copied());
+        }
+        self.large.insert(v)
+    }
+
+    fn contains(&self, v: ValueId) -> bool {
+        if self.large.is_empty() {
+            self.small.contains(&v)
+        } else {
+            self.large.contains(&v)
+        }
+    }
+}
+
 /// Whether every member is a body instruction (has an order key).
 fn all_keyed(positions: &PositionMap, bundle: &[ValueId]) -> bool {
     bundle.iter().all(|&v| positions.contains(v))
@@ -62,10 +107,10 @@ fn ssa_independent(f: &Function, positions: &PositionMap, bundle: &[ValueId]) ->
         return false;
     }
     let lo = bundle.iter().filter_map(|&v| positions.key(v)).min().expect("members are keyed");
-    let mut seen: HashSet<ValueId> = HashSet::default();
-    let mut stack: Vec<ValueId> = Vec::new();
+    let mut seen = SmallSet::default();
+    let mut stack: InlineVec<ValueId, INLINE_VALUES> = InlineVec::new();
     for &m in bundle {
-        stack.extend_from_slice(f.args_of(m));
+        stack.extend(f.args_of(m).iter().copied());
         while let Some(v) = stack.pop() {
             if positions.key(v).is_none_or(|k| k < lo) || !seen.insert(v) {
                 continue;
@@ -73,7 +118,7 @@ fn ssa_independent(f: &Function, positions: &PositionMap, bundle: &[ValueId]) ->
             if bundle.contains(&v) {
                 return false;
             }
-            stack.extend_from_slice(f.args_of(v));
+            stack.extend(f.args_of(v).iter().copied());
         }
     }
     true
@@ -86,8 +131,8 @@ fn member_indices(
     positions: &PositionMap,
     bundle: &[ValueId],
     last: bool,
-) -> (usize, Vec<usize>) {
-    let idx: Vec<usize> = bundle
+) -> (usize, InlineVec<usize, INLINE_VALUES>) {
+    let idx: InlineVec<usize, INLINE_VALUES> = bundle
         .iter()
         .map(|&v| positions.index_in(body, v).expect("bundle members are in the body"))
         .collect();
@@ -101,13 +146,13 @@ fn member_indices(
 fn sink_legal(f: &Function, positions: &PositionMap, addr: &AddrInfo, bundle: &[ValueId]) -> bool {
     let body = f.body();
     let (last_pos, idx) = member_indices(body, positions, bundle, true);
-    let in_bundle: HashSet<ValueId> = bundle.iter().copied().collect();
-    for (&m, &from) in bundle.iter().zip(&idx) {
+    let in_bundle = SmallSet::of(bundle);
+    for (&m, &from) in bundle.iter().zip(idx.iter()) {
         if !f.opcode(m).is_some_and(Opcode::is_memory) {
             continue;
         }
         for x in &body[from + 1..=last_pos] {
-            if in_bundle.contains(x) {
+            if in_bundle.contains(*x) {
                 continue;
             }
             if f.opcode(*x).is_some_and(Opcode::is_memory) && mem_conflict(f, addr, m, *x) {
@@ -138,10 +183,10 @@ fn hoist_legal(f: &Function, positions: &PositionMap, addr: &AddrInfo, bundle: &
     if f.is_inst(lane0_ptr) && positions.key(lane0_ptr).is_none_or(|p| p >= first_key) {
         return false;
     }
-    let in_bundle: HashSet<ValueId> = bundle.iter().copied().collect();
-    for (&m, &to) in bundle.iter().zip(&idx) {
+    let in_bundle = SmallSet::of(bundle);
+    for (&m, &to) in bundle.iter().zip(idx.iter()) {
         for x in &body[first_pos..to] {
-            if in_bundle.contains(x) {
+            if in_bundle.contains(*x) {
                 continue;
             }
             if f.opcode(*x).is_some_and(Opcode::is_memory) && mem_conflict(f, addr, m, *x) {

@@ -7,14 +7,18 @@
 
 use lslp_analysis::AnalysisManager;
 use lslp_ir::hash::{Entry, HashMap, HashSet};
-use lslp_ir::{Function, InstAttr, Module, Opcode, Type, ValueId};
+use lslp_ir::{Function, InlineVec, InstAttr, Module, Opcode, Type, ValueId};
+
+/// Operands held inline in a [`Key`]: no opcode takes more than three
+/// (`select`, `insertelement`), so building a key allocates nothing.
+const INLINE_ARGS: usize = 3;
 
 #[derive(PartialEq, Eq, Hash)]
-struct Key {
+struct Key<'a> {
     op: Opcode,
     ty: Type,
-    args: Vec<ValueId>,
-    attr: InstAttr,
+    args: InlineVec<ValueId, INLINE_ARGS>,
+    attr: &'a InstAttr,
     /// For loads: the index of the last store that may alias this address
     /// (loads merge only within the same "memory epoch").
     mem_epoch: usize,
@@ -51,7 +55,7 @@ pub fn run_with(f: &mut Function, am: &mut AnalysisManager) -> usize {
             op: inst.op,
             ty: inst.ty,
             args: inst.args.iter().map(|&a| resolve(&resolved, a)).collect(),
-            attr: inst.attr.clone(),
+            attr: &inst.attr,
             mem_epoch,
         };
         match table.entry(key) {

@@ -12,10 +12,11 @@
 //! whose whole operand frontier is reordered at once.
 
 use std::fmt;
+use std::hash::BuildHasher;
 
 pub use lslp_analysis::Placement;
 use lslp_analysis::{bundle_schedulable, load_placement, AddrInfo};
-use lslp_ir::hash::HashMap;
+use lslp_ir::hash::{Entry, HashMap};
 use lslp_ir::{Function, Opcode, PositionMap, UseMap, ValueId};
 use lslp_target::TargetSpec;
 
@@ -58,9 +59,11 @@ pub enum GatherReason {
     ExceedsTargetWidth,
 }
 
-impl fmt::Display for GatherReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl GatherReason {
+    /// The display name (also the key of
+    /// [`crate::VectorizeReport::gather_reasons`]).
+    pub fn name(self) -> &'static str {
+        match self {
             GatherReason::NonInstruction => "non-instruction lanes",
             GatherReason::Duplicates => "duplicate lanes",
             GatherReason::AlreadyInTree => "lanes already in tree",
@@ -72,8 +75,13 @@ impl fmt::Display for GatherReason {
             GatherReason::Throttled => "throttled",
             GatherReason::NodeBudget => "node budget exhausted",
             GatherReason::ExceedsTargetWidth => "exceeds target register width",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for GatherReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -254,7 +262,12 @@ pub struct GraphBuilder<'a> {
     use_map: &'a UseMap,
     nodes: Vec<Node>,
     in_tree: HashMap<ValueId, NodeId>,
-    bundle_cache: HashMap<Vec<ValueId>, NodeId>,
+    /// Exact-bundle reuse: the first node built for each bundle hash. A
+    /// node's scalars are its bundle, so a hit is confirmed against them
+    /// and no bundle is copied into the cache.
+    bundle_cache: HashMap<u64, NodeId>,
+    /// Nodes whose bundle hash was already taken by a different bundle.
+    hash_collisions: Vec<NodeId>,
 }
 
 impl<'a> GraphBuilder<'a> {
@@ -278,6 +291,7 @@ impl<'a> GraphBuilder<'a> {
             nodes: Vec::new(),
             in_tree: HashMap::default(),
             bundle_cache: HashMap::default(),
+            hash_collisions: Vec::new(),
         }
     }
 
@@ -314,11 +328,19 @@ impl<'a> GraphBuilder<'a> {
     /// The recursive `build_graph` of Listings 3–4.
     fn build_rec(&mut self, bundle: Vec<ValueId>, depth: u32) -> NodeId {
         // Exact bundle reuse: a value group may feed several users (a DAG).
-        if let Some(&hit) = self.bundle_cache.get(&bundle) {
+        let hash = self.bundle_cache.hasher().hash_one(&bundle);
+        let same = |id: &&NodeId| self.nodes[**id].scalars == bundle;
+        let cached = self.bundle_cache.get(&hash).filter(same);
+        if let Some(&hit) = cached.or_else(|| self.hash_collisions.iter().find(same)) {
             return hit;
         }
-        let id = self.build_rec_fresh(bundle.clone(), depth);
-        self.bundle_cache.insert(bundle, id);
+        let id = self.build_rec_fresh(bundle, depth);
+        match self.bundle_cache.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
+            Entry::Occupied(_) => self.hash_collisions.push(id),
+        }
         id
     }
 
@@ -334,13 +356,8 @@ impl<'a> GraphBuilder<'a> {
         if bundle.iter().any(|&v| !f.is_inst(v)) {
             return self.gather(bundle, GatherReason::NonInstruction);
         }
-        {
-            let mut seen = bundle.clone();
-            seen.sort();
-            seen.dedup();
-            if seen.len() != bundle.len() {
-                return self.gather(bundle, GatherReason::Duplicates);
-            }
+        if bundle.iter().enumerate().any(|(i, v)| bundle[..i].contains(v)) {
+            return self.gather(bundle, GatherReason::Duplicates);
         }
         if bundle.iter().any(|v| self.in_tree.contains_key(v)) {
             return self.gather(bundle, GatherReason::AlreadyInTree);
@@ -410,8 +427,8 @@ impl<'a> GraphBuilder<'a> {
         if !bundle_schedulable(self.f, self.positions, self.addr, &bundle) {
             return self.gather(bundle, GatherReason::NotSchedulable);
         }
-        let id = self.reserve(bundle.clone(), NodeKind::Store);
         let values: Vec<ValueId> = bundle.iter().map(|&s| self.f.args_of(s)[0]).collect();
+        let id = self.reserve(bundle, NodeKind::Store);
         let child = self.build_rec(values, depth + 1);
         self.nodes[id].operands.push(child);
         id
@@ -456,9 +473,10 @@ impl<'a> GraphBuilder<'a> {
         }
         let op = self.f.opcode(bundle[0]).expect("instruction");
         let nargs = self.f.args_of(bundle[0]).len();
-        let id = self.reserve(bundle.clone(), NodeKind::Vector { op });
+        let id = self.reserve(bundle, NodeKind::Vector { op });
         for slot in 0..nargs {
-            let column: Vec<ValueId> = bundle.iter().map(|&v| self.f.args_of(v)[slot]).collect();
+            let lanes = &self.nodes[id].scalars;
+            let column: Vec<ValueId> = lanes.iter().map(|&v| self.f.args_of(v)[slot]).collect();
             let child = self.build_rec(column, depth + 1);
             self.nodes[id].operands.push(child);
         }

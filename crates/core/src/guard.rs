@@ -29,7 +29,8 @@
 //! O(function). Commits verify incrementally
 //! ([`lslp_ir::verify_function_touched`]) against the positions and uses
 //! of the caller's [`AnalysisManager`], which catches them up from the
-//! same log.
+//! same log, when it already holds them; otherwise they run the full
+//! verifier rather than build maps only to check one commit.
 //!
 //! See `DESIGN.md` § "Pass guard & failure semantics" and `docs/IR.md`
 //! § "Transactions" for the underlying delta-log contract.
@@ -214,10 +215,11 @@ pub type SeedDesc<'a> = &'a dyn Fn(&Function) -> String;
 ///
 /// `body` returns `(result, mutated)`; `mutated` tells the guard whether
 /// `f` was actually changed, so clean read-only attempts skip the
-/// verification and oracle costs. `body` may use `am`, and the commit
-/// check reads the positions and uses it needs from `am`, which catches
-/// its cached ones up from the delta log: a commit costs O(touched
-/// instructions), and the caller's next queries hit. `seed` is rendered
+/// verification and oracle costs. `body` may use `am`. When `am` holds
+/// positions and uses, the commit check catches them up from the delta
+/// log and verifies only the touched instructions, so a commit costs
+/// O(touched instructions) and the caller's next queries hit; otherwise
+/// it verifies the whole function and builds no maps. `seed` is rendered
 /// only when an incident is built (after rollback, so it describes the
 /// pre-transform state).
 ///
@@ -280,22 +282,27 @@ pub fn run_guarded<T>(
 }
 
 /// Check a mutated function before its transaction commits: verify the
-/// instructions the transaction touched (all of `f` after a whole-body or
-/// CFG edit), then, in paranoid mode, run the differential oracle against
-/// `before`.
+/// instructions the transaction touched, then, in paranoid mode, run the
+/// differential oracle against `before`.
+///
+/// The touched verifier needs the current positions and uses, so it runs
+/// only when `am` already holds both (caught up from the delta log, as
+/// inside the vectorizer). Otherwise — after a whole-body or CFG edit, or
+/// a scalar pass that never asked for the maps — the full verifier runs:
+/// one O(body) sweep with no maps built only to be thrown away. The two
+/// accept exactly the same functions.
 fn check_commit(
     f: &Function,
     am: &mut AnalysisManager,
     mark: TxnMark,
     before: Option<&Function>,
 ) -> Result<(), (IncidentKind, String)> {
-    let verdict = match f.touched_since(mark) {
-        Some(touched) if touched.is_empty() => Ok(()),
-        Some(touched) => {
-            let positions = am.positions(f);
-            let uses = am.use_map(f);
-            lslp_ir::verify_function_touched(f, &touched, &positions, &uses)
-        }
+    let verdict = match am.cached_maps(f) {
+        Some((positions, uses)) => match f.touched_since(mark) {
+            Some(touched) if touched.is_empty() => Ok(()),
+            Some(touched) => lslp_ir::verify_function_touched(f, &touched, &positions, &uses),
+            None => lslp_ir::verify_function(f),
+        },
         None => lslp_ir::verify_function(f),
     };
     verdict.map_err(|e| (IncidentKind::VerifyError, e.to_string()))?;

@@ -8,7 +8,7 @@
 //! the multi-node frontier, which is reordered as one unit.
 
 use lslp_ir::hash::HashMap;
-use lslp_ir::{Function, Opcode, UseMap, ValueId};
+use lslp_ir::{Function, InlineVec, Opcode, UseMap, ValueId};
 
 /// One lane of a multi-node: the chain instructions (root first, in
 /// discovery order) and the frontier operands they expose.
@@ -57,14 +57,14 @@ pub fn build_lane_chain(
     // Worklist of frontier operands to classify, kept in breadth-first
     // discovery order so equal `max_insts` caps yield isomorphic shapes
     // across lanes.
-    let mut queue: Vec<ValueId> = f.args_of(root).to_vec();
+    let mut queue: InlineVec<ValueId, 16> = f.args_of(root).iter().copied().collect();
     let mut qi = 0;
     while qi < queue.len() {
         let cand = queue[qi];
         qi += 1;
         if insts.len() < max_insts && absorbable(f, use_map, in_tree, root, cand) {
             insts.push(cand);
-            queue.extend_from_slice(f.args_of(cand));
+            queue.extend(f.args_of(cand).iter().copied());
         } else {
             operands.push(cand);
         }
@@ -75,13 +75,26 @@ pub fn build_lane_chain(
 
 /// The maximum chain size reachable from `root` (unbounded growth), used to
 /// equalize chain sizes across lanes before the real formation pass.
+///
+/// Unbounded, the chain is every absorbable instruction reachable through
+/// absorbable ones, whatever the visiting order, so this counts them with
+/// a depth-first walk instead of building the chain. Each is reached once:
+/// an absorbable value has exactly one use.
 pub fn max_chain_insts(
     f: &Function,
     use_map: &UseMap,
     in_tree: &HashMap<ValueId, usize>,
     root: ValueId,
 ) -> usize {
-    build_lane_chain(f, use_map, in_tree, root, usize::MAX).insts.len()
+    let mut count = 1;
+    let mut stack: InlineVec<ValueId, 16> = f.args_of(root).iter().copied().collect();
+    while let Some(cand) = stack.pop() {
+        if absorbable(f, use_map, in_tree, root, cand) {
+            count += 1;
+            stack.extend(f.args_of(cand).iter().copied());
+        }
+    }
+    count
 }
 
 /// Form the multi-node for a bundle of commutative roots (one per lane).
@@ -146,6 +159,20 @@ mod tests {
         for l in leaves {
             assert!(chain.operands.contains(&l), "missing leaf {l}");
         }
+    }
+
+    #[test]
+    fn counted_chain_size_matches_the_unbounded_chain() {
+        let (f, root, _) = chain4();
+        let um = f.use_map();
+        let none = HashMap::default();
+        assert_eq!(max_chain_insts(&f, &um, &none, root), 3);
+        // A chain member already in the tree stops the growth below it.
+        let abc = f.args_of(root)[0];
+        let in_tree: HashMap<ValueId, usize> = [(abc, 0)].into_iter().collect();
+        let unbounded = build_lane_chain(&f, &um, &in_tree, root, usize::MAX);
+        assert_eq!(max_chain_insts(&f, &um, &in_tree, root), unbounded.insts.len());
+        assert_eq!(unbounded.insts.len(), 1);
     }
 
     #[test]

@@ -163,14 +163,6 @@ fn cost_bundle(
             let graph = build_graph(f, cfg, tm, an, bundle);
             let cost = graph_cost(f, &graph, tm, &an.uses);
             let gathers = graph.nodes().iter().filter(|n| !n.is_vectorizable()).count();
-            let reasons: Vec<String> = graph
-                .nodes()
-                .iter()
-                .filter_map(|n| match &n.kind {
-                    NodeKind::Gather { reason } => Some(reason.to_string()),
-                    _ => None,
-                })
-                .collect();
             let attempt = Attempt {
                 seed: seed_desc(f, addr, bundle),
                 vf,
@@ -182,14 +174,22 @@ fn cost_bundle(
             };
             let truncated = graph.budget_exhausted();
             // Costing only: nothing is mutated here.
-            ((attempt, truncated, reasons, graph), false)
+            ((attempt, truncated, graph), false)
         },
     )?;
-    let Some((attempt, truncated, reasons, graph)) = eval else {
+    let Some((attempt, truncated, graph)) = eval else {
         return Ok(None);
     };
-    for r in reasons {
-        *cx.report.gather_reasons.entry(r).or_insert(0) += 1;
+    for n in graph.nodes() {
+        if let NodeKind::Gather { reason } = n.kind {
+            // A reason's key is allocated once per report, not per node.
+            match cx.report.gather_reasons.get_mut(reason.name()) {
+                Some(count) => *count += 1,
+                None => {
+                    cx.report.gather_reasons.insert(reason.name().to_string(), 1);
+                }
+            }
+        }
     }
     if truncated {
         guard::record(
@@ -394,7 +394,7 @@ fn run_greedy(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
                 // top-down) and commit the cheapest per-lane profitable
                 // one — ties go to the wider factor, which keeps the
                 // default target's widest-first decisions intact.
-                let mut candidates: Vec<(usize, Vec<ValueId>, i64, usize, SlpGraph)> = Vec::new();
+                let mut candidates: Vec<(usize, &[ValueId], i64, usize, SlpGraph)> = Vec::new();
                 let mut vf = pow2_floor(remaining.min(max_vf));
                 while vf >= 2 {
                     // The deadline must also bound the exploration: a wide
@@ -404,10 +404,11 @@ fn run_greedy(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
                     if *cx.fuel_spent {
                         break 'restart;
                     }
-                    let bundle = chain.stores[i..i + vf].to_vec();
-                    if tried.insert(bundle.clone()) {
+                    let bundle = &chain.stores[i..i + vf];
+                    if !tried.contains(bundle) {
+                        tried.insert(bundle.to_vec());
                         if let Some((cost, idx, graph)) =
-                            cost_bundle(cx, &bundle, vf, &an, PackingStrategy::Greedy)?
+                            cost_bundle(cx, bundle, vf, &an, PackingStrategy::Greedy)?
                         {
                             if cost < cx.cfg.cost_threshold {
                                 candidates.push((vf, bundle, cost, idx, graph));
@@ -429,7 +430,7 @@ fn run_greedy(cx: &mut PackCx<'_>) -> Result<(), GuardError> {
                     candidates.reverse();
                 }
                 for (_, bundle, cost, attempt_idx, graph) in candidates {
-                    if let Some(stats) = commit_pack(cx, &bundle, an, Some(graph))? {
+                    if let Some(stats) = commit_pack(cx, bundle, an, Some(graph))? {
                         mark_committed(cx.report, attempt_idx, cost, &stats);
                         continue 'restart;
                     }

@@ -18,7 +18,7 @@
 //!   look-ahead score of Listing 7 to break ties.
 
 use lslp_analysis::AddrInfo;
-use lslp_ir::{Function, Opcode, ValueId};
+use lslp_ir::{Function, InlineVec, Opcode, ValueId};
 
 use crate::config::{ReorderStrategy, VectorizerConfig};
 use crate::score::{consecutive_or_match, la_score_weighted};
@@ -48,6 +48,10 @@ fn initial_mode(f: &Function, v: ValueId) -> OperandMode {
     }
 }
 
+/// Operands of one lane, or candidates of one slot, held inline: a
+/// multi-node's frontier is a few operands per lane.
+type Inline<T> = InlineVec<T, 8>;
+
 /// Listing 6: pick the best candidate for one slot in one lane.
 ///
 /// Returns the chosen value (removed from `candidates`) and the slot's new
@@ -58,7 +62,7 @@ fn get_best(
     addr: &AddrInfo,
     mode: OperandMode,
     last: ValueId,
-    candidates: &mut Vec<ValueId>,
+    candidates: &mut Inline<ValueId>,
     cfg: &VectorizerConfig,
 ) -> (Option<ValueId>, OperandMode) {
     match mode {
@@ -73,7 +77,7 @@ fn get_best(
             }
         }
         OperandMode::Const | OperandMode::Load | OperandMode::Opcode => {
-            let matches: Vec<usize> = candidates
+            let matches: Inline<usize> = candidates
                 .iter()
                 .enumerate()
                 .filter(|&(_, &c)| consecutive_or_match(f, addr, last, c))
@@ -87,7 +91,7 @@ fn get_best(
                     if mode == OperandMode::Opcode {
                         // Look-ahead tie-breaking over increasing levels.
                         for level in 1..=cfg.la_depth {
-                            let scores: Vec<i64> = matches
+                            let scores: Inline<i64> = matches
                                 .iter()
                                 .map(|&ix| {
                                     la_score_weighted(
@@ -134,43 +138,44 @@ pub fn reorder_lookahead(
     let nops = lane_operands[0].len();
     debug_assert!(lane_operands.iter().all(|l| l.len() == nops));
 
-    let mut final_order: Vec<Vec<Option<ValueId>>> = vec![vec![None; lanes]; nops];
-    let mut mode = Vec::with_capacity(nops);
+    let mut final_order: Vec<Vec<ValueId>> = (0..nops).map(|_| Vec::with_capacity(lanes)).collect();
+    let mut mode: Inline<OperandMode> = InlineVec::new();
     // 1. Strip the first lane: accept its operands in their original order.
     for (i, &v) in lane_operands[0].iter().enumerate() {
-        final_order[i][0] = Some(v);
+        final_order[i].push(v);
         mode.push(initial_mode(f, v));
     }
     // 2. For every other lane, find the best candidate per slot.
     for lane in 1..lanes {
-        let mut candidates = lane_operands[lane].clone();
+        let mut candidates: Inline<ValueId> = lane_operands[lane].iter().copied().collect();
+        let mut chosen: Inline<Option<ValueId>> = InlineVec::new();
         for (i, m) in mode.iter_mut().enumerate() {
             if *m == OperandMode::Failed {
+                chosen.push(None);
                 continue;
             }
-            let last = final_order[i][lane - 1].expect("previous lane filled");
+            let last = final_order[i][lane - 1];
             let (best, new_mode) = get_best(f, addr, *m, last, &mut candidates, cfg);
             *m = new_mode;
             if let Some(b) = best {
-                final_order[i][lane] = Some(b);
                 if cfg.splat_mode && b == last && *m != OperandMode::Failed {
                     *m = OperandMode::Splat;
                 }
             }
+            chosen.push(best);
         }
         // Failed (and newly-failed) slots take the leftovers in order.
-        let mut leftovers = candidates.into_iter();
-        for slot in final_order.iter_mut() {
-            if slot[lane].is_none() {
-                slot[lane] = Some(leftovers.next().expect("operand counts are equal per lane"));
-            }
+        let mut leftovers = candidates.iter().copied();
+        for (slot, best) in final_order.iter_mut().zip(chosen.iter()) {
+            slot.push(
+                best.unwrap_or_else(|| {
+                    leftovers.next().expect("operand counts are equal per lane")
+                }),
+            );
         }
         debug_assert!(leftovers.next().is_none(), "every candidate must be placed");
     }
     final_order
-        .into_iter()
-        .map(|slot| slot.into_iter().map(|v| v.expect("slot filled")).collect())
-        .collect()
 }
 
 /// Transpose `lane_operands[lane][op]` into `final_order[slot][lane]`

@@ -35,9 +35,9 @@ impl StoreChain {
 pub fn collect_store_chains(f: &Function, addr: &AddrInfo) -> Vec<StoreChain> {
     // Group stores by (base, symbolic terms, access size).
     #[derive(PartialEq, Eq, Hash)]
-    struct Key {
+    struct Key<'a> {
         base: ValueId,
-        terms: Vec<(ValueId, i64)>,
+        terms: &'a [(ValueId, i64)],
         bytes: u32,
     }
     let mut groups: HashMap<Key, Vec<(i64, usize, ValueId)>> = HashMap::default();
@@ -46,8 +46,7 @@ pub fn collect_store_chains(f: &Function, addr: &AddrInfo) -> Vec<StoreChain> {
             continue;
         }
         let Some(loc) = addr.loc(id) else { continue };
-        let key =
-            Key { base: loc.addr.base, terms: loc.addr.offset.terms.clone(), bytes: loc.bytes };
+        let key = Key { base: loc.addr.base, terms: loc.addr.offset.terms(), bytes: loc.bytes };
         groups.entry(key).or_default().push((loc.addr.offset.konst, pos, id));
     }
 

@@ -45,6 +45,7 @@ mod builder;
 mod cfg;
 mod function;
 pub mod hash;
+mod inline;
 mod inst;
 mod maps;
 mod parser;
@@ -56,6 +57,7 @@ mod verifier;
 pub use builder::FunctionBuilder;
 pub use cfg::{Block, BlockId, Cfg, Terminator};
 pub use function::{Edit, Function, LogCursor, Module, TxnMark, ValueData};
+pub use inline::InlineVec;
 pub use inst::{FloatPred, Inst, InstAttr, IntPred, Opcode};
 pub use maps::{PositionMap, Use, UseMap};
 pub use parser::{parse_function, parse_module, ParseError};

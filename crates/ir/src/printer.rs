@@ -11,11 +11,11 @@
 //! }
 //! ```
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::cfg::Terminator;
 use crate::function::{Function, Module, ValueData};
-use crate::hash::{HashMap, HashSet};
+use crate::hash::HashSet;
 use crate::inst::{Inst, InstAttr, Opcode};
 use crate::value::ValueId;
 
@@ -34,15 +34,39 @@ fn sanitize(name: &str) -> String {
     out
 }
 
+/// A value's printed name. Unnamed values are numbered in print order;
+/// a number is never stored as text, and never collides with a name
+/// because [`sanitize`] keeps names from starting with a digit.
+#[derive(Clone)]
+enum Name {
+    /// Not defined by a parameter, block parameter or instruction.
+    None,
+    Number(usize),
+    Text(String),
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Name::None => out.write_str("?"),
+            Name::Number(n) => write!(out, "{n}"),
+            Name::Text(s) => out.write_str(s),
+        }
+    }
+}
+
 struct Namer {
-    names: HashMap<ValueId, String>,
+    /// Indexed by value.
+    names: Vec<Name>,
+    /// Names handed out, to make repeated debug names unique.
     taken: HashSet<String>,
     next: usize,
 }
 
 impl Namer {
     fn new(f: &Function) -> Namer {
-        let mut n = Namer { names: HashMap::default(), taken: HashSet::default(), next: 0 };
+        let mut n =
+            Namer { names: vec![Name::None; f.num_values()], taken: HashSet::default(), next: 0 };
         for &p in f.params() {
             let base = sanitize(f.value_name(p).unwrap_or("arg"));
             n.assign(p, base);
@@ -74,18 +98,8 @@ impl Namer {
                 self.assign(v, base);
             }
             None => {
-                let num = self.fresh_number();
-                self.names.insert(v, num);
-            }
-        }
-    }
-
-    fn fresh_number(&mut self) -> String {
-        loop {
-            let cand = self.next.to_string();
-            self.next += 1;
-            if self.taken.insert(cand.clone()) {
-                return cand;
+                self.names[v.index()] = Name::Number(self.next);
+                self.next += 1;
             }
         }
     }
@@ -97,19 +111,33 @@ impl Namer {
             cand = format!("{base}{k}");
             k += 1;
         }
-        self.names.insert(v, cand);
+        self.names[v.index()] = Name::Text(cand);
     }
 
-    fn name(&self, v: ValueId) -> &str {
-        self.names.get(&v).map_or("?", String::as_str)
+    fn name(&self, v: ValueId) -> &Name {
+        self.names.get(v.index()).unwrap_or(&Name::None)
     }
 }
 
-fn operand(f: &Function, namer: &Namer, v: ValueId) -> String {
-    match f.value(v) {
-        ValueData::Const(c) => f.const_value(*c).to_string(),
-        _ => format!("%{}", namer.name(v)),
+/// An operand as printed: a constant's literal or `%name`, formatted
+/// straight into the output.
+struct Operand<'a> {
+    f: &'a Function,
+    namer: &'a Namer,
+    v: ValueId,
+}
+
+impl fmt::Display for Operand<'_> {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.f.value(self.v) {
+            ValueData::Const(c) => write!(out, "{}", self.f.const_value(*c)),
+            _ => write!(out, "%{}", self.namer.name(self.v)),
+        }
     }
+}
+
+fn operand<'a>(f: &'a Function, namer: &'a Namer, v: ValueId) -> Operand<'a> {
+    Operand { f, namer, v }
 }
 
 fn print_inst(out: &mut String, f: &Function, namer: &Namer, id: ValueId, inst: &Inst) {
@@ -170,19 +198,37 @@ fn print_inst(out: &mut String, f: &Function, namer: &Namer, id: ValueId, inst: 
 }
 
 /// Render a branch edge: `bbN` or `bbN(%a, %b)`.
-fn edge(f: &Function, namer: &Namer, target: crate::cfg::BlockId, args: &[ValueId]) -> String {
-    let mut s = target.to_string();
-    if !args.is_empty() {
-        s.push('(');
-        for (i, &a) in args.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
+struct Edge<'a> {
+    f: &'a Function,
+    namer: &'a Namer,
+    target: crate::cfg::BlockId,
+    args: &'a [ValueId],
+}
+
+impl fmt::Display for Edge<'_> {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(out, "{}", self.target)?;
+        if !self.args.is_empty() {
+            out.write_str("(")?;
+            for (i, &a) in self.args.iter().enumerate() {
+                if i > 0 {
+                    out.write_str(", ")?;
+                }
+                write!(out, "{}", operand(self.f, self.namer, a))?;
             }
-            s.push_str(&operand(f, namer, a));
+            out.write_str(")")?;
         }
-        s.push(')');
+        Ok(())
     }
-    s
+}
+
+fn edge<'a>(
+    f: &'a Function,
+    namer: &'a Namer,
+    target: crate::cfg::BlockId,
+    args: &'a [ValueId],
+) -> Edge<'a> {
+    Edge { f, namer, target, args }
 }
 
 fn print_term(out: &mut String, f: &Function, namer: &Namer, term: &Terminator) {
@@ -214,7 +260,7 @@ fn print_term(out: &mut String, f: &Function, namer: &Namer, term: &Terminator) 
             out.push_str("continue");
             for (i, &a) in args.iter().enumerate() {
                 out.push_str(if i > 0 { ", " } else { " " });
-                out.push_str(&operand(f, namer, a));
+                let _ = write!(out, "{}", operand(f, namer, a));
             }
         }
     }

@@ -48,14 +48,14 @@ impl<'f> Checker<'f> {
         &self,
         id: ValueId,
         inst: &Inst,
-        defined: &HashSet<ValueId>,
+        defined: &[bool],
     ) -> Result<(), VerifyError> {
         let f = self.f;
         for &a in &inst.args {
             if a.index() >= f.num_values() {
                 return Err(self.err(Some(id), "operand handle out of range"));
             }
-            if f.is_inst(a) && !defined.contains(&a) {
+            if f.is_inst(a) && !defined[a.index()] {
                 return Err(
                     self.err(Some(id), format!("operand {a} used before definition (or orphaned)"))
                 );
@@ -64,12 +64,7 @@ impl<'f> Checker<'f> {
         Ok(())
     }
 
-    fn check_inst(
-        &self,
-        id: ValueId,
-        inst: &Inst,
-        defined: &HashSet<ValueId>,
-    ) -> Result<(), VerifyError> {
+    fn check_inst(&self, id: ValueId, inst: &Inst, defined: &[bool]) -> Result<(), VerifyError> {
         self.check_operands(id, inst, defined)?;
         self.check_types(id, inst)
     }
@@ -616,10 +611,13 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
         return verify_cfg(f);
     }
     let checker = Checker { f };
-    let mut seen = HashSet::default();
-    let mut defined: HashSet<ValueId> = HashSet::default();
+    // Indexed by value: whether the body defines it before the current
+    // instruction. Marked only after an instruction checks out, so an
+    // instruction seen twice is caught at its second occurrence and one
+    // using itself fails as a use before definition.
+    let mut defined = vec![false; f.num_values()];
     for &id in f.body() {
-        if !seen.insert(id) {
+        if defined[id.index()] {
             return Err(checker.err(Some(id), "instruction appears twice in body"));
         }
         match f.value(id) {
@@ -628,7 +626,7 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
             }
             _ => return Err(checker.err(Some(id), "body contains a non-instruction")),
         }
-        defined.insert(id);
+        defined[id.index()] = true;
     }
     Ok(())
 }

@@ -6,7 +6,8 @@
 //! daemon is driven, killed and restarted the same way.
 
 use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
+use std::path::PathBuf;
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 use lslp::{CompileOptions, Session};
@@ -33,42 +34,93 @@ fn request(src: &str) -> CompileRequest {
     CompileRequest { timeout_ms: Some(60_000), ..CompileRequest::new(src) }
 }
 
-/// Start the real `lslpd` binary on a free port with the given cache dir
-/// (2 workers unless `extra` says otherwise), parse the bound address off
-/// its stderr banner, and keep draining the rest of its stderr so the
-/// daemon can never block on a full pipe.
-fn spawn_daemon(dir: &std::path::Path, extra: &[&str]) -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_lslpd"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--cache-dir",
-            dir.to_str().expect("utf-8 temp path"),
-        ])
-        .args(extra)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn lslpd");
-    let mut reader = BufReader::new(child.stderr.take().expect("stderr piped"));
-    let addr = loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).expect("read lslpd stderr");
-        assert!(n > 0, "lslpd exited before printing its address");
-        if let Some(rest) = line.trim().strip_prefix("lslpd: serving on ") {
-            break rest.to_string();
+/// One test's daemon generations and their shared cache directory.
+///
+/// Dropping it kills and reaps a daemon still running and removes the
+/// directory, so a failed assertion leaks neither a live `lslpd` nor its
+/// cache dir.
+struct Daemon {
+    dir: PathBuf,
+    child: Option<Child>,
+}
+
+impl Daemon {
+    /// A fresh (emptied) cache directory named after `name` and this
+    /// process; no daemon runs yet.
+    fn new(name: &str) -> Daemon {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Daemon { dir, child: None }
+    }
+
+    /// Start the next generation of the real `lslpd` binary on a free
+    /// port with this cache dir (2 workers unless `extra` says
+    /// otherwise), parse the bound address off its stderr banner, and
+    /// keep draining the rest of its stderr so the daemon can never block
+    /// on a full pipe. The guard owns the process before the banner is
+    /// read, so a daemon that fails to come up is reaped too.
+    fn start(&mut self, extra: &[&str]) -> String {
+        assert!(self.child.is_none(), "the previous generation is still running");
+        let child = self.child.insert(
+            Command::new(env!("CARGO_BIN_EXE_lslpd"))
+                .args([
+                    "--addr",
+                    "127.0.0.1:0",
+                    "--workers",
+                    "2",
+                    "--cache-dir",
+                    self.dir.to_str().expect("utf-8 temp path"),
+                ])
+                .args(extra)
+                .stdin(Stdio::null())
+                .stdout(Stdio::null())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn lslpd"),
+        );
+        let mut reader = BufReader::new(child.stderr.take().expect("stderr piped"));
+        let addr = loop {
+            let mut line = String::new();
+            let n = reader.read_line(&mut line).expect("read lslpd stderr");
+            assert!(n > 0, "lslpd exited before printing its address");
+            if let Some(rest) = line.trim().strip_prefix("lslpd: serving on ") {
+                break rest.to_string();
+            }
+        };
+        std::thread::spawn(move || {
+            let mut sink = String::new();
+            while reader.read_line(&mut sink).map(|n| n > 0).unwrap_or(false) {
+                sink.clear();
+            }
+        });
+        addr
+    }
+
+    fn pid(&self) -> u32 {
+        self.child.as_ref().expect("a daemon is running").id()
+    }
+
+    /// SIGKILL the running generation and reap it.
+    fn kill(&mut self) {
+        let mut child = self.child.take().expect("a daemon is running");
+        child.kill().expect("SIGKILL lslpd");
+        child.wait().expect("reap killed lslpd");
+    }
+
+    /// Wait for the running generation to exit on its own.
+    fn wait(&mut self) -> ExitStatus {
+        self.child.take().expect("a daemon is running").wait().expect("wait for lslpd")
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
         }
-    };
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        while reader.read_line(&mut sink).map(|n| n > 0).unwrap_or(false) {
-            sink.clear();
-        }
-    });
-    (child, addr)
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
 }
 
 fn connect(addr: &str) -> Client {
@@ -79,23 +131,21 @@ fn connect(addr: &str) -> Client {
 
 #[test]
 fn kill_dash_nine_restart_comes_up_warm_and_quarantines_damage() {
-    let dir = std::env::temp_dir().join(format!("lslp-crash-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let mut daemon = Daemon::new("lslp-crash-e2e");
 
     // Generation 1: populate two entries, then die without any shutdown.
-    let (mut child, addr) = spawn_daemon(&dir, &[]);
+    let addr = daemon.start(&[]);
     let mut client = connect(&addr);
     let a1 = client.compile(&request(SRC_A)).unwrap();
     let b1 = client.compile(&request(SRC_B)).unwrap();
     assert!(a1.ok && b1.ok, "{a1:?} {b1:?}");
     let b_key = b1.field("key").expect("key field").to_string();
     drop(client);
-    child.kill().expect("SIGKILL lslpd");
-    child.wait().expect("reap killed lslpd");
+    daemon.kill();
 
     // The entries survived the kill (they were written via atomic rename
     // before the responses went out).
-    let entries = dir.join("entries");
+    let entries = daemon.dir.join("entries");
     assert!(entries.join(format!("{b_key}.entry")).is_file(), "entry on disk after kill -9");
 
     // Flip a byte in entry B's payload: bit-rot / torn write.
@@ -107,7 +157,7 @@ fn kill_dash_nine_restart_comes_up_warm_and_quarantines_damage() {
 
     // Generation 2: must start (damage is quarantined, not fatal), report
     // the warm/quarantined split, and serve identical bytes for A.
-    let (mut child, addr) = spawn_daemon(&dir, &[]);
+    let addr = daemon.start(&[]);
     let mut client = connect(&addr);
 
     let stats = client.stats().unwrap();
@@ -127,7 +177,7 @@ fn kill_dash_nine_restart_comes_up_warm_and_quarantines_damage() {
     assert_eq!(b2.field("cached"), Some("miss"), "{b2:?}");
     assert_eq!(b2.payload, b1.payload, "recompile reproduces the artifact");
     assert!(
-        dir.join("quarantine").join(format!("{b_key}.entry")).is_file(),
+        daemon.dir.join("quarantine").join(format!("{b_key}.entry")).is_file(),
         "damaged entry moved aside, not deleted"
     );
 
@@ -136,9 +186,8 @@ fn kill_dash_nine_restart_comes_up_warm_and_quarantines_damage() {
     assert_eq!(h.field("degraded"), Some("0"), "{h:?}");
 
     assert_eq!(client.shutdown().unwrap().payload, "draining");
-    let status = child.wait().expect("wait for drained lslpd");
+    let status = daemon.wait();
     assert!(status.success(), "clean exit after drain: {status:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -146,34 +195,29 @@ fn second_kill_while_warm_keeps_the_cache_consistent() {
     // Crash-loop resilience: kill a *warmed* daemon (whose memory cache was
     // seeded from disk) and verify the next generation still recovers — the
     // warm-load path must not rewrite or damage the disk tier.
-    let dir = std::env::temp_dir().join(format!("lslp-crashloop-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let mut daemon = Daemon::new("lslp-crashloop-e2e");
 
-    let (mut child, addr) = spawn_daemon(&dir, &[]);
+    let addr = daemon.start(&[]);
     let mut client = connect(&addr);
     let first = client.compile(&request(SRC_A)).unwrap();
     assert!(first.ok);
     drop(client);
-    child.kill().unwrap();
-    child.wait().unwrap();
+    daemon.kill();
 
     for generation in 2..4 {
-        let (mut child, addr) = spawn_daemon(&dir, &[]);
+        let addr = daemon.start(&[]);
         let mut client = connect(&addr);
         let r = client.compile(&request(SRC_A)).unwrap();
         assert_eq!(r.field("cached"), Some("hit"), "generation {generation}: {r:?}");
         assert_eq!(r.payload, first.payload, "generation {generation} artifact drifted");
         drop(client);
-        child.kill().unwrap();
-        child.wait().unwrap();
+        daemon.kill();
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn chaos_daemon_killed_mid_run_restarts_warm_and_correct() {
-    let dir = std::env::temp_dir().join(format!("lslp-chaos-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let mut daemon = Daemon::new("lslp-chaos-e2e");
     let suite = lslp_kernels::suite();
     let opts = CompileOptions::preset("LSLP").time_budget_ms(60_000).build().unwrap();
     let mut session = Session::new(opts);
@@ -188,15 +232,12 @@ fn chaos_daemon_killed_mid_run_restarts_warm_and_correct() {
     // Generation 1 under seeded chaos: seed 7 panics workers within the
     // first 64 requests and corrupts a quarter of the entries it persists.
     // Every request must resolve as OK or a typed ERR, never a hang.
-    let (mut child, addr) = spawn_daemon(
-        &dir,
-        &[
-            "--workers",
-            "4",
-            "--chaos",
-            "seed=7,panic=0.1,read-drop=0.05,write-drop=0.05,delay=5:0.1,corrupt=0.25",
-        ],
-    );
+    let addr = daemon.start(&[
+        "--workers",
+        "4",
+        "--chaos",
+        "seed=7,panic=0.1,read-drop=0.05,write-drop=0.05,delay=5:0.1,corrupt=0.25",
+    ]);
     std::thread::scope(|scope| {
         for t in 0..8 {
             let (addr, suite, expected, policy) = (&addr, &suite, &expected, &policy);
@@ -230,13 +271,12 @@ fn chaos_daemon_killed_mid_run_restarts_warm_and_correct() {
     };
     assert!(restarts >= 1, "the watchdog respawned panicked workers: {health:?}");
     drop(client);
-    child.kill().expect("SIGKILL lslpd");
-    child.wait().expect("reap killed lslpd");
+    daemon.kill();
 
     // Generation 2, chaos off: the tier comes up warm (whatever chaos
     // corrupted is quarantined) and serves the artifact a local compile
     // produces.
-    let (mut child, addr) = spawn_daemon(&dir, &["--workers", "4"]);
+    let addr = daemon.start(&["--workers", "4"]);
     let mut client = connect(&addr);
     let stats = client.stats().unwrap().payload;
     let warm: u64 = stats
@@ -251,8 +291,7 @@ fn chaos_daemon_killed_mid_run_restarts_warm_and_correct() {
     assert_eq!(served.payload, expected[0], "`{}` after kill -9 and restart", suite[0].name);
 
     assert_eq!(client.shutdown().unwrap().payload, "draining");
-    assert!(child.wait().expect("wait for drained lslpd").success());
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(daemon.wait().success());
 }
 
 /// One snapshot of `/proc/<pid>/task`: each thread's id, name and nice
@@ -280,14 +319,13 @@ fn threads(pid: u32) -> Vec<(u32, String, i64)> {
 #[cfg(target_os = "linux")]
 #[test]
 fn compile_workers_run_at_nice_ten_and_the_event_loop_at_zero() {
-    let dir = std::env::temp_dir().join(format!("lslp-nice-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (mut child, addr) = spawn_daemon(&dir, &[]);
+    let mut daemon = Daemon::new("lslp-nice-e2e");
+    let addr = daemon.start(&[]);
     // A compile round-trip proves only that one worker has entered its
     // loop: each worker names itself and lowers its own priority after it
     // starts. Poll the task list until both have, or the deadline passes.
     assert!(connect(&addr).compile(&request(SRC_A)).unwrap().ok);
-    let pid = child.id();
+    let pid = daemon.pid();
     let deadline = Instant::now() + Duration::from_secs(5);
     let tasks = loop {
         let tasks = threads(pid);
@@ -297,10 +335,6 @@ fn compile_workers_run_at_nice_ten_and_the_event_loop_at_zero() {
         }
         std::thread::sleep(Duration::from_millis(10));
     };
-    // Stop the daemon before asserting, so a failure does not leak it.
-    child.kill().expect("SIGKILL lslpd");
-    child.wait().expect("reap lslpd");
-    let _ = std::fs::remove_dir_all(&dir);
     let mut workers = 0;
     for (tid, comm, nice) in tasks {
         if comm == "lslpd-worker" {
