@@ -249,12 +249,13 @@ impl AddrInfo {
     ) {
         let mut stale: Vec<ValueId> = Vec::new();
         let mut seen: HashSet<ValueId> = HashSet::default();
+        let mut work: InlineVec<ValueId, 8> = InlineVec::new();
         for edit in edits {
             match *edit {
                 Edit::Insert { v, .. } | Edit::Remove { v } => stale.push(v),
                 Edit::Rewrite { v, .. } => {
                     // Every access downstream of `v`'s value, and `v`.
-                    let mut work = vec![v];
+                    work.push(v);
                     while let Some(x) = work.pop() {
                         if !seen.insert(x) {
                             continue;

@@ -370,7 +370,7 @@ mod tests {
         let mark = f.begin_txn();
         let _ = (am.addr_info(&f), am.positions(&f), am.use_map(&f));
         let x = f.params()[1];
-        let y = f.push(Opcode::Add, Type::I64, vec![x, x], InstAttr::None);
+        let y = f.push(Opcode::Add, Type::I64, [x, x], InstAttr::None);
         let positions = am.positions(&f);
         assert!(positions.orders(f.body()));
         assert_eq!(am.use_map(&f).num_uses(x), 3, "the new add's two uses join the load's");

@@ -22,7 +22,7 @@ use std::rc::Rc;
 
 use lslp_analysis::{AnalysisManager, PositionMap};
 use lslp_ir::hash::{HashMap, HashSet};
-use lslp_ir::{Constant, Function, InstAttr, Opcode, Type, ValueId};
+use lslp_ir::{Constant, Function, InlineVec, InstAttr, Opcode, Operands, Type, Use, ValueId};
 use lslp_target::TargetSpec;
 
 use crate::graph::{NodeId, NodeKind, Placement, SlpGraph};
@@ -45,9 +45,10 @@ struct Codegen<'a> {
     positions: Rc<PositionMap>,
     /// Original uses snapshot (before any new instruction was pushed).
     uses: Rc<lslp_ir::UseMap>,
-    /// New instructions to splice in right after each anchor, an original
-    /// body instruction.
-    queued: HashMap<ValueId, Vec<ValueId>>,
+    /// New instructions to splice in right after their anchor, an
+    /// original body instruction: `(anchor, instruction)` in emission
+    /// order.
+    queued: Vec<(ValueId, ValueId)>,
     vec_vals: HashMap<NodeId, ValueId>,
     /// The anchor each emitted node was placed after.
     emit_pos: HashMap<NodeId, ValueId>,
@@ -57,7 +58,7 @@ struct Codegen<'a> {
 
 impl<'a> Codegen<'a> {
     fn queue(&mut self, at: ValueId, inst: ValueId) {
-        self.queued.entry(at).or_default().push(inst);
+        self.queued.push((at, inst));
     }
 
     fn key(&self, v: ValueId) -> u64 {
@@ -89,10 +90,12 @@ impl<'a> Codegen<'a> {
         if let Some(&v) = self.vec_vals.get(&node) {
             return v;
         }
-        let kind = self.graph.node(node).kind.clone();
-        let scalars = self.graph.node(node).scalars.clone();
+        // The graph outlives `self`, so the node is read in place while
+        // `self` emits.
+        let n = self.graph.node(node);
+        let (scalars, children) = (&n.scalars, &n.operands);
         let lanes = scalars.len() as u32;
-        let val = match kind {
+        let val = match n.kind {
             NodeKind::Load { placement } => {
                 let (lo, hi) = self.member_pos(node);
                 let at = match placement {
@@ -101,7 +104,7 @@ impl<'a> Codegen<'a> {
                 };
                 let ty = self.vec_ty(node);
                 let ptr = self.f.args_of(scalars[0])[0];
-                let v = self.f.create(Opcode::Load, ty, vec![ptr], InstAttr::None);
+                let v = self.f.create(Opcode::Load, ty, [ptr], InstAttr::None);
                 self.stats.vector_insts += 1;
                 self.queue(at, v);
                 self.emit_pos.insert(node, at);
@@ -109,8 +112,7 @@ impl<'a> Codegen<'a> {
             }
             NodeKind::Store => {
                 let (_, hi) = self.member_pos(node);
-                let child = self.graph.node(node).operands[0];
-                let val = self.emit(child, hi);
+                let val = self.emit(children[0], hi);
                 let elem = self.vec_ty(node).elem().expect("store lanes have data types");
                 let max = self.tm.max_vf(elem) as usize;
                 let n_lanes = lanes as usize;
@@ -127,17 +129,13 @@ impl<'a> Codegen<'a> {
                         let part = self.f.create(
                             Opcode::ShuffleVector,
                             chunk_ty,
-                            vec![val, val],
+                            [val, val],
                             InstAttr::Mask(mask),
                         );
                         self.queue(hi, part);
                         let ptr = self.f.args_of(scalars[start])[1];
-                        last = self.f.create(
-                            Opcode::Store,
-                            Type::Void,
-                            vec![part, ptr],
-                            InstAttr::None,
-                        );
+                        last =
+                            self.f.create(Opcode::Store, Type::Void, [part, ptr], InstAttr::None);
                         self.queue(hi, last);
                         self.stats.vector_insts += 2;
                         start += chunk;
@@ -145,14 +143,13 @@ impl<'a> Codegen<'a> {
                     last
                 } else {
                     let ptr = self.f.args_of(scalars[0])[1];
-                    let v =
-                        self.f.create(Opcode::Store, Type::Void, vec![val, ptr], InstAttr::None);
+                    let v = self.f.create(Opcode::Store, Type::Void, [val, ptr], InstAttr::None);
                     self.stats.vector_insts += 1;
                     self.queue(hi, v);
                     v
                 };
                 self.emit_pos.insert(node, hi);
-                for &s in &scalars {
+                for &s in scalars {
                     self.dead_stores.insert(s);
                 }
                 self.stats.stores_deleted += scalars.len();
@@ -160,8 +157,7 @@ impl<'a> Codegen<'a> {
             }
             NodeKind::Vector { op } => {
                 let (_, hi) = self.member_pos(node);
-                let children = self.graph.node(node).operands.clone();
-                let args: Vec<ValueId> = children.iter().map(|&c| self.emit(c, hi)).collect();
+                let args: Operands = children.iter().map(|&c| self.emit(c, hi)).collect();
                 let ty = self.vec_ty(node);
                 let attr = self.f.inst(scalars[0]).expect("member").attr.clone();
                 let v = self.f.create(op, ty, args, attr);
@@ -172,15 +168,15 @@ impl<'a> Codegen<'a> {
             }
             NodeKind::MultiNode { op, .. } => {
                 let (_, hi) = self.member_pos(node);
-                let children = self.graph.node(node).operands.clone();
-                let cols: Vec<ValueId> = children.iter().map(|&c| self.emit(c, hi)).collect();
+                let cols: InlineVec<ValueId, 8> =
+                    children.iter().map(|&c| self.emit(c, hi)).collect();
                 let ty = self.vec_ty(node);
                 // Re-associate: fold all frontier columns left-to-right.
-                let mut acc = self.f.create(op, ty, vec![cols[0], cols[1]], InstAttr::None);
+                let mut acc = self.f.create(op, ty, [cols[0], cols[1]], InstAttr::None);
                 self.stats.vector_insts += 1;
                 self.queue(hi, acc);
                 for &c in &cols[2..] {
-                    acc = self.f.create(op, ty, vec![acc, c], InstAttr::None);
+                    acc = self.f.create(op, ty, [acc, c], InstAttr::None);
                     self.stats.vector_insts += 1;
                     self.queue(hi, acc);
                 }
@@ -204,7 +200,7 @@ impl<'a> Codegen<'a> {
                     self.key(at) <= self.key(gather_at),
                     "gather member must dominate its users"
                 );
-                let v = self.emit_gather(&scalars, lanes, at);
+                let v = self.emit_gather(scalars, lanes, at);
                 self.emit_pos.insert(node, at);
                 v
             }
@@ -225,7 +221,7 @@ impl<'a> Codegen<'a> {
             .collect();
         let mut cur = self.f.constant(Constant::vector(base_lanes));
         let ty = Type::Scalar(elem).with_lanes(lanes);
-        let non_const: Vec<(u32, ValueId)> = scalars
+        let non_const: InlineVec<(u32, ValueId), 8> = scalars
             .iter()
             .enumerate()
             .filter(|&(_, &s)| !self.f.is_const(s))
@@ -242,18 +238,18 @@ impl<'a> Codegen<'a> {
             cur = self.f.create(
                 Opcode::InsertElement,
                 ty,
-                vec![cur, non_const[0].1, lane0],
+                [cur, non_const[0].1, lane0],
                 InstAttr::None,
             );
             self.queue(at, cur);
             let mask = vec![0u32; lanes as usize];
-            cur = self.f.create(Opcode::ShuffleVector, ty, vec![cur, cur], InstAttr::Mask(mask));
+            cur = self.f.create(Opcode::ShuffleVector, ty, [cur, cur], InstAttr::Mask(mask));
             self.queue(at, cur);
             self.stats.vector_insts += 2;
         } else {
-            for (lane, s) in non_const {
+            for &(lane, s) in &non_const {
                 let idx = self.f.const_i64(lane as i64);
-                cur = self.f.create(Opcode::InsertElement, ty, vec![cur, s, idx], InstAttr::None);
+                cur = self.f.create(Opcode::InsertElement, ty, [cur, s, idx], InstAttr::None);
                 self.queue(at, cur);
                 self.stats.vector_insts += 1;
             }
@@ -277,7 +273,7 @@ impl<'a> Codegen<'a> {
                 if self.f.ty(s).is_void() {
                     continue;
                 }
-                let uses: Vec<_> = self
+                let uses: InlineVec<Use, 4> = self
                     .uses
                     .uses(s)
                     .iter()
@@ -291,19 +287,15 @@ impl<'a> Codegen<'a> {
                 let ext = *per_scalar_extract.entry(s).or_insert_with(|| {
                     let elem = self.f.ty(s);
                     let idx = self.f.const_i64(lane as i64);
-                    let e = self.f.create(
-                        Opcode::ExtractElement,
-                        elem,
-                        vec![vec_val, idx],
-                        InstAttr::None,
-                    );
+                    let e =
+                        self.f.create(Opcode::ExtractElement, elem, [vec_val, idx], InstAttr::None);
                     self.queue(node_pos, e);
                     self.stats.extracts += 1;
                     e
                 });
-                for u in uses {
+                for u in &uses {
                     if let Some(inst) = self.f.inst_mut(u.user) {
-                        inst.args[u.index] = ext;
+                        inst.args[u.index as usize] = ext;
                     }
                 }
             }
@@ -316,19 +308,28 @@ impl<'a> Codegen<'a> {
     /// still to come unchanged.
     fn splice(&mut self) {
         let body = self.f.body();
+        let index = |v: ValueId| self.positions.index_in(body, v).expect("anchors are in the body");
         let mut anchors: Vec<(usize, ValueId)> = self
             .queued
-            .keys()
-            .chain(&self.dead_stores)
-            .map(|&v| (self.positions.index_in(body, v).expect("anchors are in the body"), v))
+            .iter()
+            .map(|&(anchor, _)| anchor)
+            .chain(self.dead_stores.iter().copied())
+            .map(|v| (index(v), v))
             .collect();
         anchors.sort_unstable();
         anchors.dedup();
+        // By anchor position, each anchor's instructions in emission order
+        // (the sort is stable), so an anchor's run is at the end when it
+        // is visited.
+        let mut queued: Vec<(usize, ValueId)> =
+            self.queued.iter().map(|&(anchor, inst)| (index(anchor), inst)).collect();
+        queued.sort_by_key(|&(at, _)| at);
         for &(at, anchor) in anchors.iter().rev() {
-            for (k, inst) in self.queued.remove(&anchor).unwrap_or_default().into_iter().enumerate()
-            {
+            let run = queued.iter().rev().take_while(|&&(a, _)| a == at).count();
+            for (k, &(_, inst)) in queued[queued.len() - run..].iter().enumerate() {
                 self.f.insert_value(at + 1 + k, inst);
             }
+            queued.truncate(queued.len() - run);
             if self.dead_stores.contains(&anchor) {
                 self.f.remove_at(at);
             }
@@ -401,7 +402,7 @@ fn generate_tree_cached(
         tm,
         positions,
         uses,
-        queued: HashMap::default(),
+        queued: Vec::new(),
         vec_vals: HashMap::default(),
         emit_pos: HashMap::default(),
         dead_stores: HashSet::default(),

@@ -7,17 +7,15 @@
 
 use lslp_analysis::AnalysisManager;
 use lslp_ir::hash::{Entry, HashMap, HashSet};
-use lslp_ir::{Function, InlineVec, InstAttr, Module, Opcode, Type, ValueId};
-
-/// Operands held inline in a [`Key`]: no opcode takes more than three
-/// (`select`, `insertelement`), so building a key allocates nothing.
-const INLINE_ARGS: usize = 3;
+use lslp_ir::{Function, InstAttr, Module, Opcode, Operands, Type, ValueId};
 
 #[derive(PartialEq, Eq, Hash)]
 struct Key<'a> {
     op: Opcode,
     ty: Type,
-    args: InlineVec<ValueId, INLINE_ARGS>,
+    /// Operands held in place, as in the instruction, so building a key
+    /// allocates nothing.
+    args: Operands,
     attr: &'a InstAttr,
     /// For loads: the index of the last store that may alias this address
     /// (loads merge only within the same "memory epoch").
@@ -34,11 +32,15 @@ pub fn run(f: &mut Function) -> usize {
 /// [`run`], pulling the memory-dependence summary from `am`'s cache.
 pub fn run_with(f: &mut Function, am: &mut AnalysisManager) -> usize {
     let memdep = am.memdep(f);
-    let mut table: HashMap<Key, ValueId> = HashMap::default();
+    // Both maps are sized for the body up front: growing them by
+    // rehashing showed in profiles of large functions.
+    let n = f.body_len();
+    let mut table: HashMap<Key, ValueId> = HashMap::with_capacity_and_hasher(n, Default::default());
     // Map from merged-away values to their representative, applied eagerly
     // while scanning so chains of duplicates (dup gep feeding dup load)
     // merge in a single pass, then handed to one batched use rewrite.
-    let mut resolved: HashMap<ValueId, ValueId> = HashMap::default();
+    let mut resolved: HashMap<ValueId, ValueId> =
+        HashMap::with_capacity_and_hasher(n, Default::default());
     let resolve = |resolved: &HashMap<ValueId, ValueId>, v: ValueId| -> ValueId {
         resolved.get(&v).copied().unwrap_or(v)
     };

@@ -7,7 +7,8 @@
 
 use lslp_ir::hash::{HashMap, HashSet};
 use lslp_ir::{
-    Constant, FloatPred, Function, InstAttr, IntPred, Module, Opcode, ScalarType, ValueId,
+    Constant, FloatPred, Function, InlineVec, InstAttr, IntPred, Module, Opcode, ScalarType,
+    ValueId,
 };
 
 fn sext(v: i64, bits: u32) -> i64 {
@@ -142,7 +143,8 @@ fn fold_scalar(
 /// Fold one instruction's constant result, if computable.
 fn fold_inst(f: &Function, id: ValueId) -> Option<Constant> {
     let inst = f.inst(id)?;
-    let consts: Option<Vec<&Constant>> = inst.args.iter().map(|&a| f.as_const(a)).collect();
+    let consts: Option<InlineVec<&Constant, 3>> =
+        inst.args.iter().map(|&a| f.as_const(a)).collect();
     let consts = consts?;
     match inst.op {
         op if op.is_binary() || matches!(op, Opcode::ICmp | Opcode::FCmp) => {

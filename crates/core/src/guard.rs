@@ -569,7 +569,7 @@ mod tests {
             // path (incremental verification, then delta rollback).
             let a = f.params()[1];
             let bad = f.add_param("b", Type::F64);
-            f.push(lslp_ir::Opcode::Add, Type::I64, vec![a, bad], lslp_ir::InstAttr::None);
+            f.push(lslp_ir::Opcode::Add, Type::I64, [a, bad], lslp_ir::InstAttr::None);
             ((), true)
         });
         assert_eq!(r.unwrap(), None);
@@ -625,7 +625,7 @@ mod tests {
         let policy = GuardPolicy::new(GuardMode::Strict);
         let added = run_guarded(&mut f, &mut am, policy, "test", None, &mut incidents, |f, _| {
             let x = f.params()[1];
-            (f.push(lslp_ir::Opcode::Add, Type::I64, vec![x, x], lslp_ir::InstAttr::None), true)
+            (f.push(lslp_ir::Opcode::Add, Type::I64, [x, x], lslp_ir::InstAttr::None), true)
         })
         .unwrap()
         .expect("a valid push commits");

@@ -164,7 +164,7 @@ fn convert(f: &mut Function, b: BlockId, swap_arms: bool) {
         } else {
             let ty = f.ty(tv);
             let (a, b2) = if swap_arms { (ev, tv) } else { (tv, ev) };
-            out.push(f.push_in_block(b, Opcode::Select, ty, vec![cond, a, b2], InstAttr::None));
+            out.push(f.push_in_block(b, Opcode::Select, ty, [cond, a, b2], InstAttr::None));
         }
     }
     f.set_term(b, Terminator::Jump { target: join, args: out });

@@ -279,7 +279,7 @@ pub(crate) fn sabotage_swap_mask(f: &mut Function) {
         let mut mask: Vec<u32> = (0..lanes).collect();
         mask.swap(0, 1);
         let ty = Type::Vector(elem, lanes);
-        let shuf = f.insert(pos, Opcode::ShuffleVector, ty, vec![val, val], InstAttr::Mask(mask));
+        let shuf = f.insert(pos, Opcode::ShuffleVector, ty, [val, val], InstAttr::Mask(mask));
         if let Some(inst) = f.inst_mut(store) {
             inst.args[0] = shuf;
         }

@@ -186,9 +186,9 @@ pub fn try_reduction_with(
         // value (their content no longer matters).
         let mask: Vec<u32> =
             (0..m as u32).map(|j| if (j as usize) < half { j + half as u32 } else { j }).collect();
-        let shuf = f.insert(at, Opcode::ShuffleVector, vty, vec![cur, cur], InstAttr::Mask(mask));
+        let shuf = f.insert(at, Opcode::ShuffleVector, vty, [cur, cur], InstAttr::Mask(mask));
         at += 1;
-        cur = f.insert(at, cand.op, vty, vec![cur, shuf], InstAttr::None);
+        cur = f.insert(at, cand.op, vty, [cur, shuf], InstAttr::None);
         at += 1;
         width = half;
     }
@@ -197,12 +197,12 @@ pub fn try_reduction_with(
         at,
         Opcode::ExtractElement,
         lslp_ir::Type::Scalar(elem),
-        vec![cur, lane0],
+        [cur, lane0],
         InstAttr::None,
     );
     at += 1;
     for &left in &cand.leftovers {
-        result = f.insert(at, cand.op, f.ty(cand.root), vec![result, left], InstAttr::None);
+        result = f.insert(at, cand.op, f.ty(cand.root), [result, left], InstAttr::None);
         at += 1;
     }
     // Every user of the chain root is positioned after it, which is after

@@ -18,7 +18,7 @@
 //! their CFG and simply stay scalar.
 
 use lslp_ir::hash::{HashMap, HashSet};
-use lslp_ir::{BlockId, Function, Module, Terminator, ValueId};
+use lslp_ir::{BlockId, Function, Module, Operands, Terminator, ValueId};
 
 /// Maximum `trip × body-instruction` product a loop may have and still be
 /// fully unrolled.
@@ -123,8 +123,8 @@ fn unroll_at(f: &mut Function, header: BlockId, region: &Region) {
         for &blk in &region.chain {
             for id in f.block(blk).insts().to_vec() {
                 let inst = f.inst(id).expect("blocks contain instructions").clone();
-                let args = inst.args.iter().map(|&a| resolve(&map, a)).collect();
-                let clone = f.push_in_block(header, inst.op, inst.ty, args, inst.attr.clone());
+                let args: Operands = inst.args.iter().map(|&a| resolve(&map, a)).collect();
+                let clone = f.push_in_block(header, inst.op, inst.ty, args, inst.attr);
                 map.insert(id, clone);
             }
             match f.block(blk).term().clone() {

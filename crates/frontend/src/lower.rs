@@ -2,8 +2,8 @@
 
 use lslp_ir::hash::{HashMap, HashSet};
 use lslp_ir::{
-    BlockId, FloatPred, Function, InstAttr, IntPred, Module, Opcode, ScalarType, Terminator, Type,
-    ValueId,
+    BlockId, FloatPred, Function, InstAttr, IntPred, Module, Opcode, Operands, ScalarType,
+    Terminator, Type, ValueId,
 };
 
 use crate::ast::{BinOp, CmpOp, Expr, Kernel, Param, ParamType, Program, Stmt};
@@ -70,7 +70,7 @@ fn carried_vars(
 impl Lowerer {
     /// Append an instruction to the current block (CFG mode) or the
     /// straight-line body.
-    fn emit(&mut self, op: Opcode, ty: Type, args: Vec<ValueId>, attr: InstAttr) -> ValueId {
+    fn emit(&mut self, op: Opcode, ty: Type, args: impl Into<Operands>, attr: InstAttr) -> ValueId {
         match self.cur {
             Some(b) => self.f.push_in_block(b, op, ty, args, attr),
             None => self.f.push(op, ty, args, attr),
@@ -179,10 +179,10 @@ impl Lowerer {
                 let gep = self.emit(
                     Opcode::Gep,
                     Type::PTR,
-                    vec![base, idx],
+                    [base, idx],
                     InstAttr::ElemBytes(elem.bytes()),
                 );
-                Ok(self.emit(Opcode::Load, Type::Scalar(elem), vec![gep], InstAttr::None))
+                Ok(self.emit(Opcode::Load, Type::Scalar(elem), [gep], InstAttr::None))
             }
             Expr::Neg { expr, pos } => {
                 let v = self.lower_expr(expr, want)?;
@@ -193,7 +193,7 @@ impl Lowerer {
                 } else {
                     return Err(err(*pos, "cannot negate a pointer"));
                 };
-                Ok(self.emit(op, Type::Scalar(want), vec![zero, v], InstAttr::None))
+                Ok(self.emit(op, Type::Scalar(want), [zero, v], InstAttr::None))
             }
             Expr::Cast { expr, ty, pos } => {
                 if *ty != want {
@@ -216,13 +216,13 @@ impl Lowerer {
                     (false, false) if src.bits() < want.bits() => Opcode::Fpext,
                     (false, false) => Opcode::Fptrunc,
                 };
-                Ok(self.emit(op, Type::Scalar(want), vec![v], InstAttr::None))
+                Ok(self.emit(op, Type::Scalar(want), [v], InstAttr::None))
             }
             Expr::Binary { op, lhs, rhs, pos } => {
                 let oc = Self::binop_opcode(*op, want, *pos)?;
                 let l = self.lower_expr(lhs, want)?;
                 let r = self.lower_expr(rhs, want)?;
-                Ok(self.emit(oc, Type::Scalar(want), vec![l, r], InstAttr::None))
+                Ok(self.emit(oc, Type::Scalar(want), [l, r], InstAttr::None))
             }
             Expr::IfElse { clhs, cmp, crhs, then_e, else_e, pos } => {
                 self.lower_if(clhs, *cmp, crhs, then_e, else_e, want, *pos)
@@ -274,7 +274,7 @@ impl Lowerer {
             };
             (Opcode::ICmp, InstAttr::IntPred(p))
         };
-        let cond = self.emit(op, Type::Scalar(ScalarType::I8), vec![l, r], attr);
+        let cond = self.emit(op, Type::Scalar(ScalarType::I8), [l, r], attr);
 
         let then_b = self.f.add_block();
         let else_b = self.f.add_block();
@@ -451,10 +451,10 @@ impl Lowerer {
                 let gep = self.emit(
                     Opcode::Gep,
                     Type::PTR,
-                    vec![base, idx],
+                    [base, idx],
                     InstAttr::ElemBytes(elem.bytes()),
                 );
-                self.emit(Opcode::Store, Type::Void, vec![val, gep], InstAttr::None);
+                self.emit(Opcode::Store, Type::Void, [val, gep], InstAttr::None);
                 Ok(())
             }
         }

@@ -10,7 +10,8 @@
 //! only ever see the one resulting [`Function`].
 
 use lslp_ir::{
-    BlockId, FloatPred, Function, InstAttr, IntPred, Opcode, ScalarType, Terminator, Type, ValueId,
+    BlockId, FloatPred, Function, InstAttr, IntPred, Opcode, Operands, ScalarType, Terminator,
+    Type, ValueId,
 };
 
 use crate::plan::{ControlPlan, Plan, Shape};
@@ -160,7 +161,7 @@ fn emit(
     bb: Option<BlockId>,
     op: Opcode,
     ty: Type,
-    args: Vec<ValueId>,
+    args: impl Into<Operands>,
     attr: InstAttr,
 ) -> ValueId {
     match bb {
@@ -246,7 +247,7 @@ fn emit_reduction(
     let mut acc = emit_load(f, cx, cx.ins[r.arr], 0, elem_ty, bb);
     for k in 1..r.width {
         let e = emit_load(f, cx, cx.ins[r.arr], k, elem_ty, bb);
-        acc = emit(f, bb, r.op, elem_ty, vec![acc, e], InstAttr::None);
+        acc = emit(f, bb, r.op, elem_ty, [acc, e], InstAttr::None);
     }
     emit_store(f, cx, cx.out, out_base, acc, bb);
 }
@@ -272,7 +273,7 @@ fn emit_diamond(
     } else {
         (Opcode::FCmp, InstAttr::FloatPred(FloatPred::Olt), f.const_float(ScalarType::F64, 1.0))
     };
-    let cond = f.push_in_block(cur, op, Type::Scalar(ScalarType::I8), vec![gate, thresh], attr);
+    let cond = f.push_in_block(cur, op, Type::Scalar(ScalarType::I8), [gate, thresh], attr);
     let then_b = f.add_block();
     let else_b = f.add_block();
     let join = f.add_block();
@@ -301,13 +302,13 @@ fn emit_index(
     bb: Option<BlockId>,
 ) -> ValueId {
     let c = f.const_i64(off as i64);
-    let mut idx = emit(f, bb, Opcode::Add, Type::I64, vec![cx.i, c], InstAttr::None);
+    let mut idx = emit(f, bb, Opcode::Add, Type::I64, [cx.i, c], InstAttr::None);
     if let Some((iv, stride)) = cx.iv {
         let s = f.const_i64(stride as i64);
-        let scaled = emit(f, bb, Opcode::Mul, Type::I64, vec![s, iv], InstAttr::None);
-        idx = emit(f, bb, Opcode::Add, Type::I64, vec![idx, scaled], InstAttr::None);
+        let scaled = emit(f, bb, Opcode::Mul, Type::I64, [s, iv], InstAttr::None);
+        idx = emit(f, bb, Opcode::Add, Type::I64, [idx, scaled], InstAttr::None);
     }
-    emit(f, bb, Opcode::Gep, Type::PTR, vec![ptr, idx], InstAttr::ElemBytes(8))
+    emit(f, bb, Opcode::Gep, Type::PTR, [ptr, idx], InstAttr::ElemBytes(8))
 }
 
 fn emit_load(
@@ -319,7 +320,7 @@ fn emit_load(
     bb: Option<BlockId>,
 ) -> ValueId {
     let g = emit_index(f, cx, ptr, off, bb);
-    emit(f, bb, Opcode::Load, ty, vec![g], InstAttr::None)
+    emit(f, bb, Opcode::Load, ty, [g], InstAttr::None)
 }
 
 fn emit_store(
@@ -331,7 +332,7 @@ fn emit_store(
     bb: Option<BlockId>,
 ) {
     let g = emit_index(f, cx, out, off, bb);
-    emit(f, bb, Opcode::Store, Type::Void, vec![v, g], InstAttr::None);
+    emit(f, bb, Opcode::Store, Type::Void, [v, g], InstAttr::None);
 }
 
 fn emit_const(f: &mut Function, cx: &IrCtx, c: i64) -> ValueId {
@@ -357,7 +358,7 @@ fn emit_shape(
             let a = emit_shape(f, cx, lhs, l, ty, bb);
             let b = emit_shape(f, cx, rhs, l, ty, bb);
             let (a, b) = if swaps(*swap_mask, l) { (b, a) } else { (a, b) };
-            emit(f, bb, *op, ty, vec![a, b], InstAttr::None)
+            emit(f, bb, *op, ty, [a, b], InstAttr::None)
         }
         Shape::Chain { op, rot, operands } => {
             let vals: Vec<ValueId> =
@@ -365,7 +366,7 @@ fn emit_shape(
             let order = chain_order(vals.len(), *rot, l);
             let mut acc = vals[order[0]];
             for &k in &order[1..] {
-                acc = emit(f, bb, *op, ty, vec![acc, vals[k]], InstAttr::None);
+                acc = emit(f, bb, *op, ty, [acc, vals[k]], InstAttr::None);
             }
             acc
         }
@@ -373,7 +374,7 @@ fn emit_shape(
             let a = emit_shape(f, cx, lhs, l, ty, bb);
             let b = emit_shape(f, cx, rhs, l, ty, bb);
             let op = if l.is_multiple_of(2) { *op_even } else { *op_odd };
-            emit(f, bb, op, ty, vec![a, b], InstAttr::None)
+            emit(f, bb, op, ty, [a, b], InstAttr::None)
         }
     }
 }

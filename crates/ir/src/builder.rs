@@ -46,7 +46,7 @@ impl<'f> FunctionBuilder<'f> {
     pub fn binop(&mut self, op: Opcode, a: ValueId, b: ValueId) -> ValueId {
         debug_assert!(op.is_binary(), "binop() requires a binary opcode");
         let ty = self.f.ty(a);
-        self.f.push(op, ty, vec![a, b], InstAttr::None)
+        self.f.push(op, ty, [a, b], InstAttr::None)
     }
 
     binop_method!(/// Integer add.
@@ -99,7 +99,7 @@ impl<'f> FunctionBuilder<'f> {
             Type::Vector(_, n) => Type::Vector(ScalarType::I8, n),
             _ => Type::Scalar(ScalarType::I8),
         };
-        self.f.push(Opcode::ICmp, rty, vec![a, b], InstAttr::IntPred(pred))
+        self.f.push(Opcode::ICmp, rty, [a, b], InstAttr::IntPred(pred))
     }
 
     /// Float comparison; the result is `i8` with the operand lane count.
@@ -108,55 +108,55 @@ impl<'f> FunctionBuilder<'f> {
             Type::Vector(_, n) => Type::Vector(ScalarType::I8, n),
             _ => Type::Scalar(ScalarType::I8),
         };
-        self.f.push(Opcode::FCmp, rty, vec![a, b], InstAttr::FloatPred(pred))
+        self.f.push(Opcode::FCmp, rty, [a, b], InstAttr::FloatPred(pred))
     }
 
     /// Lanewise select: `cond != 0 ? a : b`.
     pub fn select(&mut self, cond: ValueId, a: ValueId, b: ValueId) -> ValueId {
         let ty = self.f.ty(a);
-        self.f.push(Opcode::Select, ty, vec![cond, a, b], InstAttr::None)
+        self.f.push(Opcode::Select, ty, [cond, a, b], InstAttr::None)
     }
 
     /// A unary conversion instruction with the given destination type.
     pub fn cast(&mut self, op: Opcode, v: ValueId, dst: Type) -> ValueId {
         debug_assert!(op.is_cast(), "cast() requires a conversion opcode");
-        self.f.push(op, dst, vec![v], InstAttr::None)
+        self.f.push(op, dst, [v], InstAttr::None)
     }
 
     /// Pointer arithmetic: `base + index * elem_bytes`.
     pub fn gep(&mut self, base: ValueId, index: ValueId, elem_bytes: u32) -> ValueId {
-        self.f.push(Opcode::Gep, Type::PTR, vec![base, index], InstAttr::ElemBytes(elem_bytes))
+        self.f.push(Opcode::Gep, Type::PTR, [base, index], InstAttr::ElemBytes(elem_bytes))
     }
 
     /// Load a value of type `ty` from `ptr`.
     pub fn load(&mut self, ty: Type, ptr: ValueId) -> ValueId {
-        self.f.push(Opcode::Load, ty, vec![ptr], InstAttr::None)
+        self.f.push(Opcode::Load, ty, [ptr], InstAttr::None)
     }
 
     /// Store `val` to `ptr`.
     pub fn store(&mut self, val: ValueId, ptr: ValueId) -> ValueId {
-        self.f.push(Opcode::Store, Type::Void, vec![val, ptr], InstAttr::None)
+        self.f.push(Opcode::Store, Type::Void, [val, ptr], InstAttr::None)
     }
 
     /// Extract lane `lane` of vector `vec`.
     pub fn extract(&mut self, vec: ValueId, lane: u32) -> ValueId {
         let elem = self.f.ty(vec).elem().expect("extractelement needs a vector operand");
         let idx = self.f.const_i64(lane as i64);
-        self.f.push(Opcode::ExtractElement, Type::Scalar(elem), vec![vec, idx], InstAttr::None)
+        self.f.push(Opcode::ExtractElement, Type::Scalar(elem), [vec, idx], InstAttr::None)
     }
 
     /// Insert scalar `val` into lane `lane` of vector `vec`.
     pub fn insert(&mut self, vec: ValueId, val: ValueId, lane: u32) -> ValueId {
         let ty = self.f.ty(vec);
         let idx = self.f.const_i64(lane as i64);
-        self.f.push(Opcode::InsertElement, ty, vec![vec, val, idx], InstAttr::None)
+        self.f.push(Opcode::InsertElement, ty, [vec, val, idx], InstAttr::None)
     }
 
     /// Shuffle lanes of `a` and `b` (mask indexes their concatenation).
     pub fn shuffle(&mut self, a: ValueId, b: ValueId, mask: Vec<u32>) -> ValueId {
         let elem = self.f.ty(a).elem().expect("shufflevector needs vectors");
         let ty = Type::Vector(elem, mask.len() as u32);
-        self.f.push(Opcode::ShuffleVector, ty, vec![a, b], InstAttr::Mask(mask))
+        self.f.push(Opcode::ShuffleVector, ty, [a, b], InstAttr::Mask(mask))
     }
 }
 

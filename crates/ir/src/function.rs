@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cfg::{Block, BlockId, Cfg, Terminator};
 use crate::hash::{HashMap, HashSet};
-use crate::inst::{Inst, InstAttr, Opcode};
+use crate::inst::{Inst, InstAttr, Opcode, Operands};
 use crate::maps::{PositionMap, UseMap};
 use crate::types::Type;
 use crate::value::{ConstId, Constant, ValueId};
@@ -172,6 +172,15 @@ pub enum Edit<'a> {
         /// Its previous payload.
         old: &'a Inst,
     },
+}
+
+impl Edit<'_> {
+    /// The instruction this edit is about.
+    pub fn value(&self) -> ValueId {
+        match *self {
+            Edit::Insert { v, .. } | Edit::Remove { v } | Edit::Rewrite { v, .. } => v,
+        }
+    }
 }
 
 /// A straight-line function: parameters, interned constants, and a single
@@ -561,7 +570,14 @@ impl Function {
     }
 
     /// Append an instruction to the body; returns its value handle.
-    pub fn push(&mut self, op: Opcode, ty: Type, args: Vec<ValueId>, attr: InstAttr) -> ValueId {
+    /// `args` is an array, slice or `Vec` of operands.
+    pub fn push(
+        &mut self,
+        op: Opcode,
+        ty: Type,
+        args: impl Into<Operands>,
+        attr: InstAttr,
+    ) -> ValueId {
         let id = self.create(op, ty, args, attr);
         self.insert_value(self.body.len(), id);
         id
@@ -577,7 +593,7 @@ impl Function {
         at: usize,
         op: Opcode,
         ty: Type,
-        args: Vec<ValueId>,
+        args: impl Into<Operands>,
         attr: InstAttr,
     ) -> ValueId {
         assert!(at <= self.body.len(), "insert position out of range");
@@ -588,7 +604,13 @@ impl Function {
 
     /// Allocate an instruction outside the body (an orphan until
     /// [`Function::insert_value`] places it).
-    pub fn create(&mut self, op: Opcode, ty: Type, args: Vec<ValueId>, attr: InstAttr) -> ValueId {
+    pub fn create(
+        &mut self,
+        op: Opcode,
+        ty: Type,
+        args: impl Into<Operands>,
+        attr: InstAttr,
+    ) -> ValueId {
         self.alloc(ValueData::Inst(Inst::new(op, ty, args, attr)), None)
     }
 
@@ -924,7 +946,7 @@ impl Function {
         b: BlockId,
         op: Opcode,
         ty: Type,
-        args: Vec<ValueId>,
+        args: impl Into<Operands>,
         attr: InstAttr,
     ) -> ValueId {
         assert!(self.cfg.as_ref().is_some_and(|c| c.contains(b)), "push_in_block: no block {b}");
@@ -1045,8 +1067,8 @@ mod tests {
         let mut f = Function::new("t");
         let a = f.add_param("a", Type::I64);
         let one = f.const_i64(1);
-        let add = f.push(Opcode::Add, Type::I64, vec![a, one], InstAttr::None);
-        let mul = f.push(Opcode::Mul, Type::I64, vec![add, add], InstAttr::None);
+        let add = f.push(Opcode::Add, Type::I64, [a, one], InstAttr::None);
+        let mul = f.push(Opcode::Mul, Type::I64, [add, add], InstAttr::None);
         (f, add, mul)
     }
 
@@ -1103,10 +1125,10 @@ mod tests {
         let mut f = Function::new("t");
         let a = f.add_param("a", Type::I64);
         let b = f.add_param("b", Type::I64);
-        let x = f.push(Opcode::Add, Type::I64, vec![a, b], InstAttr::None);
-        let y = f.push(Opcode::Add, Type::I64, vec![a, b], InstAttr::None);
-        let z = f.push(Opcode::Mul, Type::I64, vec![x, y], InstAttr::None);
-        let w = f.push(Opcode::Sub, Type::I64, vec![y, a], InstAttr::None);
+        let x = f.push(Opcode::Add, Type::I64, [a, b], InstAttr::None);
+        let y = f.push(Opcode::Add, Type::I64, [a, b], InstAttr::None);
+        let z = f.push(Opcode::Mul, Type::I64, [x, y], InstAttr::None);
+        let w = f.push(Opcode::Sub, Type::I64, [y, a], InstAttr::None);
         // Simultaneous substitution: `a` becomes `b` and `b` becomes `a`.
         f.replace_uses_with(&HashMap::from_iter([(y, x), (a, b), (b, a)]));
         assert_eq!(f.args_of(x), &[b, a]);
@@ -1127,10 +1149,10 @@ mod tests {
         let m = f.add_block_param(join, Some("m".into()), Type::I64);
         let c7 = f.const_i64(7);
         let c9 = f.const_i64(9);
-        let s = f.push_in_block(entry, Opcode::Add, Type::I64, vec![i, c7], InstAttr::None);
+        let s = f.push_in_block(entry, Opcode::Add, Type::I64, [i, c7], InstAttr::None);
         f.set_term(entry, Terminator::Jump { target: join, args: vec![s] });
-        let g = f.push_in_block(join, Opcode::Gep, Type::PTR, vec![a, m], InstAttr::ElemBytes(8));
-        f.push_in_block(join, Opcode::Store, Type::Void, vec![m, g], InstAttr::None);
+        let g = f.push_in_block(join, Opcode::Gep, Type::PTR, [a, m], InstAttr::ElemBytes(8));
+        f.push_in_block(join, Opcode::Store, Type::Void, [m, g], InstAttr::None);
         f.replace_uses_with(&HashMap::from_iter([(c7, c9), (s, i), (m, c9)]));
         assert_eq!(f.args_of(s), &[i, c9]);
         assert_eq!(f.block(entry).term(), &Terminator::Jump { target: join, args: vec![i] });
@@ -1180,7 +1202,7 @@ mod tests {
     fn insert_shifts_positions() {
         let (mut f, add, _) = sample();
         let c = f.const_i64(3);
-        let early = f.insert(0, Opcode::Add, Type::I64, vec![c, c], InstAttr::None);
+        let early = f.insert(0, Opcode::Add, Type::I64, [c, c], InstAttr::None);
         let pos = f.position_map();
         assert_eq!(pos.index_in(f.body(), early), Some(0));
         assert_eq!(pos.index_in(f.body(), add), Some(1));
@@ -1282,8 +1304,8 @@ mod tests {
         // One of each kind of mutation.
         let p = f.add_param("extra", Type::F64);
         let c = f.const_i64(99);
-        let s = f.push(Opcode::Sub, Type::I64, vec![c, c], InstAttr::None);
-        f.insert(0, Opcode::Add, Type::I64, vec![c, c], InstAttr::None);
+        let s = f.push(Opcode::Sub, Type::I64, [c, c], InstAttr::None);
+        f.insert(0, Opcode::Add, Type::I64, [c, c], InstAttr::None);
         f.set_value_name(add, "renamed");
         f.set_value_name(s, "s");
         if let Some(i) = f.inst_mut(mul) {
@@ -1295,7 +1317,7 @@ mod tests {
         f.remove_from_body(&dead);
         let moved = f.remove_at(0);
         f.insert_value(f.body_len(), moved);
-        let detached = f.create(Opcode::Mul, Type::I64, vec![c, c], InstAttr::None);
+        let detached = f.create(Opcode::Mul, Type::I64, [c, c], InstAttr::None);
         f.insert_value(1, detached);
         assert_ne!(print_function(&f), before);
         let _ = p;
@@ -1317,7 +1339,7 @@ mod tests {
         let (mut f, _, _) = sample();
         let mark = f.begin_txn();
         let c = f.const_i64(5);
-        f.push(Opcode::Add, Type::I64, vec![c, c], InstAttr::None);
+        f.push(Opcode::Add, Type::I64, [c, c], InstAttr::None);
         assert!(f.delta_len() > 0);
         f.commit_txn(mark);
         assert_eq!(f.body_len(), 3);
@@ -1330,17 +1352,17 @@ mod tests {
         let (mut f, _, _) = sample();
         let outer = f.begin_txn();
         let c = f.const_i64(5);
-        f.push(Opcode::Add, Type::I64, vec![c, c], InstAttr::None);
+        f.push(Opcode::Add, Type::I64, [c, c], InstAttr::None);
         let mid = print_function(&f);
 
         let inner = f.begin_txn();
-        f.push(Opcode::Mul, Type::I64, vec![c, c], InstAttr::None);
+        f.push(Opcode::Mul, Type::I64, [c, c], InstAttr::None);
         f.rollback_txn(inner);
         assert_eq!(print_function(&f), mid, "inner rollback keeps outer work");
         assert!(f.in_txn());
 
         let inner2 = f.begin_txn();
-        f.push(Opcode::Sub, Type::I64, vec![c, c], InstAttr::None);
+        f.push(Opcode::Sub, Type::I64, [c, c], InstAttr::None);
         f.commit_txn(inner2);
         assert_eq!(f.body_len(), 4);
 
@@ -1356,7 +1378,7 @@ mod tests {
         let (mut f, add, mul) = sample();
         let mark = f.begin_txn();
         let c = f.const_i64(42);
-        let s = f.push(Opcode::Sub, Type::I64, vec![c, c], InstAttr::None);
+        let s = f.push(Opcode::Sub, Type::I64, [c, c], InstAttr::None);
         if let Some(i) = f.inst_mut(mul) {
             i.args.swap(0, 1);
         }
@@ -1378,11 +1400,11 @@ mod tests {
         let mut uses = f.use_map();
         let cursor = f.log_cursor().expect("inside a transaction");
         let c = f.const_i64(5);
-        let x = f.insert(1, Opcode::Add, Type::I64, vec![add, c], InstAttr::None);
+        let x = f.insert(1, Opcode::Add, Type::I64, [add, c], InstAttr::None);
         if let Some(i) = f.inst_mut(mul) {
             i.args[1] = x;
         }
-        let y = f.create(Opcode::Sub, Type::I64, vec![x, add], InstAttr::None);
+        let y = f.create(Opcode::Sub, Type::I64, [x, add], InstAttr::None);
         f.insert_value(3, y);
         let edits = f.edits_since(cursor).expect("replayable");
         assert_eq!(edits.len(), 3);
@@ -1423,7 +1445,7 @@ mod tests {
         // Every insert lands right after `add`, halving the same gap.
         for _ in 0..40 {
             let at = f.body().iter().position(|&v| v == add).unwrap() + 1;
-            f.insert(at, Opcode::Add, Type::I64, vec![c, c], InstAttr::None);
+            f.insert(at, Opcode::Add, Type::I64, [c, c], InstAttr::None);
         }
         let edits = f.edits_since(cursor).unwrap();
         assert!(!positions.apply(&edits), "the gap runs out and asks for a rebuild");
@@ -1434,7 +1456,7 @@ mod tests {
     fn mutation_outside_txn_keeps_no_log() {
         let (mut f, _, _) = sample();
         let c = f.const_i64(9);
-        f.push(Opcode::Add, Type::I64, vec![c, c], InstAttr::None);
+        f.push(Opcode::Add, Type::I64, [c, c], InstAttr::None);
         assert_eq!(f.delta_len(), 0);
     }
 
@@ -1446,7 +1468,7 @@ mod tests {
         let mark = f.begin_txn();
         let snap = f.clone();
         let c = f.const_i64(123);
-        f.push(Opcode::Add, Type::I64, vec![c, c], InstAttr::None);
+        f.push(Opcode::Add, Type::I64, [c, c], InstAttr::None);
         f = snap;
         assert!(f.in_txn());
         f.rollback_txn(mark);
@@ -1465,15 +1487,15 @@ mod tests {
         let m = f.add_block_param(join, Some("m".into()), Type::I64);
         let c0 = f.const_i64(7);
         f.set_term(entry, Terminator::Jump { target: join, args: vec![c0] });
-        let g = f.push_in_block(join, Opcode::Gep, Type::PTR, vec![a, m], InstAttr::ElemBytes(8));
-        f.push_in_block(join, Opcode::Store, Type::Void, vec![m, g], InstAttr::None);
+        let g = f.push_in_block(join, Opcode::Gep, Type::PTR, [a, m], InstAttr::ElemBytes(8));
+        f.push_in_block(join, Opcode::Store, Type::Void, [m, g], InstAttr::None);
         let before = print_function(&f);
         let e0 = f.epoch();
 
         let mark = f.begin_txn();
         let extra = f.add_block();
         let p = f.add_block_param(extra, None, Type::F64);
-        f.push_in_block(extra, Opcode::FAdd, Type::F64, vec![p, p], InstAttr::None);
+        f.push_in_block(extra, Opcode::FAdd, Type::F64, [p, p], InstAttr::None);
         f.set_term(entry, Terminator::Jump { target: extra, args: vec![] });
         f.set_block_params(join, vec![]);
         f.set_block_insts(join, vec![]);

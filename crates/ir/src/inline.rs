@@ -6,6 +6,11 @@
 //! to the heap only past that, so the common short list costs no
 //! allocation. Equality and hashing are those of the element slice,
 //! whichever way the elements are stored.
+//!
+//! The IR also keeps lists in it: an instruction's operands
+//! ([`crate::Inst::args`], three in place) and a value's uses in
+//! [`crate::UseMap`] (two in place), so building, cloning and logging
+//! them allocates only for the rare long list.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -19,8 +24,9 @@ pub struct InlineVec<T: Copy, const N: usize> {
 
 #[derive(Clone)]
 enum Repr<T: Copy, const N: usize> {
-    /// `buf[..len]` are the elements.
-    Inline { len: usize, buf: [T; N] },
+    /// `buf[..len]` are the elements. A `u32` length lets a three-`u32`
+    /// buffer share the `Vec`'s 24 bytes.
+    Inline { len: u32, buf: [T; N] },
     /// The elements; an empty `Vec` owns no allocation, so this is also
     /// the empty state (there is no `T` to fill an inline buffer with).
     Heap(Vec<T>),
@@ -35,13 +41,13 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
     /// Append `x`, moving to the heap once more than `N` elements are held.
     pub fn push(&mut self, x: T) {
         match &mut self.repr {
-            Repr::Inline { len, buf } if *len < N => {
-                buf[*len] = x;
+            Repr::Inline { len, buf } if (*len as usize) < N => {
+                buf[*len as usize] = x;
                 *len += 1;
             }
-            Repr::Inline { len, buf } => {
+            Repr::Inline { buf, .. } => {
                 let mut v = Vec::with_capacity(2 * N.max(1));
-                v.extend_from_slice(&buf[..*len]);
+                v.extend_from_slice(buf);
                 v.push(x);
                 self.repr = Repr::Heap(v);
             }
@@ -57,7 +63,7 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
         match &mut self.repr {
             Repr::Inline { len, buf } => {
                 *len = len.checked_sub(1)?;
-                Some(buf[*len])
+                Some(buf[*len as usize])
             }
             Repr::Heap(v) => v.pop(),
         }
@@ -76,10 +82,21 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
         x
     }
 
+    /// Insert `x` at `index`, shifting the later elements up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index > len`.
+    pub fn insert(&mut self, index: usize, x: T) {
+        assert!(index <= self.len(), "insertion index {index} out of bounds");
+        self.push(x);
+        self.as_mut_slice()[index..].rotate_right(1);
+    }
+
     /// The elements.
     pub fn as_slice(&self) -> &[T] {
         match &self.repr {
-            Repr::Inline { len, buf } => &buf[..*len],
+            Repr::Inline { len, buf } => &buf[..*len as usize],
             Repr::Heap(v) => v,
         }
     }
@@ -87,7 +104,7 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
     /// The elements, mutably.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         match &mut self.repr {
-            Repr::Inline { len, buf } => &mut buf[..*len],
+            Repr::Inline { len, buf } => &mut buf[..*len as usize],
             Repr::Heap(v) => v,
         }
     }
@@ -124,6 +141,54 @@ impl<T: Copy, const N: usize> Extend<T> for InlineVec<T, N> {
         for x in iter {
             self.push(x);
         }
+    }
+}
+
+impl<T: Copy, const N: usize> From<&[T]> for InlineVec<T, N> {
+    fn from(xs: &[T]) -> Self {
+        match xs.first() {
+            Some(&x) if xs.len() <= N => {
+                let mut buf = [x; N];
+                buf[..xs.len()].copy_from_slice(xs);
+                InlineVec { repr: Repr::Inline { len: xs.len() as u32, buf } }
+            }
+            _ => InlineVec { repr: Repr::Heap(xs.to_vec()) },
+        }
+    }
+}
+
+impl<T: Copy, const N: usize, const M: usize> From<[T; M]> for InlineVec<T, N> {
+    fn from(xs: [T; M]) -> Self {
+        InlineVec::from(&xs[..])
+    }
+}
+
+/// Keeps the `Vec`'s allocation when the elements do not fit in place.
+impl<T: Copy, const N: usize> From<Vec<T>> for InlineVec<T, N> {
+    fn from(xs: Vec<T>) -> Self {
+        if xs.len() <= N {
+            InlineVec::from(&xs[..])
+        } else {
+            InlineVec { repr: Repr::Heap(xs) }
+        }
+    }
+}
+
+impl<'a, T: Copy, const N: usize> IntoIterator for &'a InlineVec<T, N> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+impl<'a, T: Copy, const N: usize> IntoIterator for &'a mut InlineVec<T, N> {
+    type Item = &'a mut T;
+    type IntoIter = std::slice::IterMut<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_mut_slice().iter_mut()
     }
 }
 
@@ -190,6 +255,38 @@ mod tests {
         assert_eq!(s.hash_one(&inline), s.hash_one(&spilled));
         assert_eq!(s.hash_one(&inline), s.hash_one(&[1u32, 2][..]));
         assert_eq!(format!("{inline:?}"), "[1, 2]");
+    }
+
+    #[test]
+    fn conversions_stay_inline_when_they_fit() {
+        let a: InlineVec<u32, 3> = [1, 2, 3].into();
+        assert!(!a.spilled());
+        let v: InlineVec<u32, 3> = vec![1, 2].into();
+        assert!(!v.spilled());
+        assert_eq!(&v[..], &[1, 2]);
+        let s: InlineVec<u32, 3> = (&[5u32][..]).into();
+        assert_eq!(&s[..], &[5]);
+        let e: InlineVec<u32, 3> = Vec::new().into();
+        assert!(e.is_empty() && !e.spilled());
+        let long: InlineVec<u32, 3> = vec![1, 2, 3, 4].into();
+        assert!(long.spilled());
+        assert_eq!(long, [1, 2, 3, 4].into());
+    }
+
+    #[test]
+    fn insert_shifts_in_either_representation() {
+        let mut v: InlineVec<u32, 3> = InlineVec::new();
+        v.insert(0, 2);
+        v.insert(0, 1);
+        v.insert(2, 4);
+        assert_eq!(&v[..], &[1, 2, 4]);
+        v.insert(2, 3);
+        assert!(v.spilled());
+        assert_eq!(&v[..], &[1, 2, 3, 4]);
+        for x in &mut v {
+            *x *= 10;
+        }
+        assert_eq!((&v).into_iter().copied().sum::<u32>(), 100);
     }
 
     #[test]

@@ -2,8 +2,16 @@
 
 use std::fmt;
 
+use crate::inline::InlineVec;
 use crate::types::Type;
 use crate::value::ValueId;
+
+/// An instruction's operand list: three in place, which every opcode
+/// fits (`select`, `insertelement`), so creating, cloning or logging an
+/// instruction allocates nothing for its operands. A longer list moves to
+/// the heap, so a malformed arity stays representable for the verifier
+/// to reject.
+pub type Operands = InlineVec<ValueId, 3>;
 
 /// Instruction opcodes.
 ///
@@ -488,15 +496,16 @@ pub struct Inst {
     /// The result type ([`Type::Void`] for `store`).
     pub ty: Type,
     /// Value operands, in opcode-defined order.
-    pub args: Vec<ValueId>,
+    pub args: Operands,
     /// Immediate attribute (predicate, gep stride, shuffle mask).
     pub attr: InstAttr,
 }
 
 impl Inst {
-    /// Construct an instruction record.
-    pub fn new(op: Opcode, ty: Type, args: Vec<ValueId>, attr: InstAttr) -> Inst {
-        Inst { op, ty, args, attr }
+    /// Construct an instruction record; `args` is an array, slice or
+    /// `Vec` of operands.
+    pub fn new(op: Opcode, ty: Type, args: impl Into<Operands>, attr: InstAttr) -> Inst {
+        Inst { op, ty, args: args.into(), attr }
     }
 }
 
@@ -567,6 +576,15 @@ mod tests {
         ] {
             assert_eq!(FloatPred::from_name(p.name()), Some(p));
         }
+    }
+
+    #[test]
+    fn records_keep_their_landing_sizes() {
+        // Operands in place and a four-byte operand index: a size change
+        // here is a change to every instruction, use list and log record.
+        assert_eq!(std::mem::size_of::<Operands>(), 24);
+        assert_eq!(std::mem::size_of::<Inst>(), 64);
+        assert_eq!(std::mem::size_of::<crate::Use>(), 8);
     }
 
     #[test]

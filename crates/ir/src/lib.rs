@@ -58,7 +58,7 @@ pub use builder::FunctionBuilder;
 pub use cfg::{Block, BlockId, Cfg, Terminator};
 pub use function::{Edit, Function, LogCursor, Module, TxnMark, ValueData};
 pub use inline::InlineVec;
-pub use inst::{FloatPred, Inst, InstAttr, IntPred, Opcode};
+pub use inst::{FloatPred, Inst, InstAttr, IntPred, Opcode, Operands};
 pub use maps::{PositionMap, Use, UseMap};
 pub use parser::{parse_function, parse_module, ParseError};
 pub use printer::{print_function, print_module};

@@ -6,7 +6,7 @@ use std::fmt;
 use crate::cfg::{BlockId, Terminator};
 use crate::function::{Function, Module};
 use crate::hash::{HashMap, HashSet};
-use crate::inst::{FloatPred, InstAttr, IntPred, Opcode};
+use crate::inst::{FloatPred, InstAttr, IntPred, Opcode, Operands};
 use crate::types::{ScalarType, Type};
 use crate::value::{Constant, ValueId};
 
@@ -295,7 +295,7 @@ impl<'s> Parser<'s> {
         f: &mut Function,
         op: Opcode,
         ty: Type,
-        args: Vec<ValueId>,
+        args: impl Into<Operands>,
         attr: InstAttr,
     ) -> ValueId {
         match self.cur_block {
@@ -467,7 +467,7 @@ impl<'s> Parser<'s> {
                 let a = self.operand(f, names, ty)?;
                 self.expect(&Tok::Comma)?;
                 let b = self.operand(f, names, ty)?;
-                let id = self.emit(f, o, ty, vec![a, b], InstAttr::None);
+                let id = self.emit(f, o, ty, [a, b], InstAttr::None);
                 self.define(f, names, result_name, id)
             }
             Opcode::ICmp | Opcode::FCmp => {
@@ -491,7 +491,7 @@ impl<'s> Parser<'s> {
                             .ok_or_else(|| self.err(format!("unknown predicate `{predname}`")))?,
                     )
                 };
-                let id = self.emit(f, op, rty, vec![a, b], attr);
+                let id = self.emit(f, op, rty, [a, b], attr);
                 self.define(f, names, result_name, id)
             }
             Opcode::Select => {
@@ -505,7 +505,7 @@ impl<'s> Parser<'s> {
                 let a = self.operand(f, names, ty)?;
                 self.expect(&Tok::Comma)?;
                 let b = self.operand(f, names, ty)?;
-                let id = self.emit(f, op, ty, vec![c, a, b], InstAttr::None);
+                let id = self.emit(f, op, ty, [c, a, b], InstAttr::None);
                 self.define(f, names, result_name, id)
             }
             Opcode::Gep => {
@@ -518,14 +518,14 @@ impl<'s> Parser<'s> {
                     return Err(self.err("gep stride must be positive"));
                 }
                 let id =
-                    self.emit(f, op, Type::PTR, vec![base, idx], InstAttr::ElemBytes(bytes as u32));
+                    self.emit(f, op, Type::PTR, [base, idx], InstAttr::ElemBytes(bytes as u32));
                 self.define(f, names, result_name, id)
             }
             Opcode::Load => {
                 let ty = self.parse_type()?;
                 self.expect(&Tok::Comma)?;
                 let ptr = self.operand(f, names, Type::PTR)?;
-                let id = self.emit(f, op, ty, vec![ptr], InstAttr::None);
+                let id = self.emit(f, op, ty, [ptr], InstAttr::None);
                 self.define(f, names, result_name, id)
             }
             Opcode::Store => {
@@ -533,7 +533,7 @@ impl<'s> Parser<'s> {
                 let val = self.operand(f, names, ty)?;
                 self.expect(&Tok::Comma)?;
                 let ptr = self.operand(f, names, Type::PTR)?;
-                self.emit(f, op, Type::Void, vec![val, ptr], InstAttr::None);
+                self.emit(f, op, Type::Void, [val, ptr], InstAttr::None);
                 if result_name.is_some() {
                     return Err(self.err("store does not produce a value"));
                 }
@@ -547,7 +547,7 @@ impl<'s> Parser<'s> {
                 let val = self.operand(f, names, Type::Scalar(elem))?;
                 self.expect(&Tok::Comma)?;
                 let lane = self.operand(f, names, Type::I64)?;
-                let id = self.emit(f, op, ty, vec![vec, val, lane], InstAttr::None);
+                let id = self.emit(f, op, ty, [vec, val, lane], InstAttr::None);
                 self.define(f, names, result_name, id)
             }
             Opcode::ExtractElement => {
@@ -556,7 +556,7 @@ impl<'s> Parser<'s> {
                 let vec = self.operand(f, names, ty)?;
                 self.expect(&Tok::Comma)?;
                 let lane = self.operand(f, names, Type::I64)?;
-                let id = self.emit(f, op, Type::Scalar(elem), vec![vec, lane], InstAttr::None);
+                let id = self.emit(f, op, Type::Scalar(elem), [vec, lane], InstAttr::None);
                 self.define(f, names, result_name, id)
             }
             Opcode::ShuffleVector => {
@@ -580,7 +580,7 @@ impl<'s> Parser<'s> {
                 }
                 self.expect(&Tok::RBracket)?;
                 let rty = Type::Vector(elem, mask.len() as u32);
-                let id = self.emit(f, op, rty, vec![a, b], InstAttr::Mask(mask));
+                let id = self.emit(f, op, rty, [a, b], InstAttr::Mask(mask));
                 self.define(f, names, result_name, id)
             }
             other if other.is_cast() => {
@@ -591,7 +591,7 @@ impl<'s> Parser<'s> {
                     return Err(self.err(format!("expected `to` in cast, found `{kw}`")));
                 }
                 let dst = self.parse_type()?;
-                let id = self.emit(f, other, dst, vec![v], InstAttr::None);
+                let id = self.emit(f, other, dst, [v], InstAttr::None);
                 self.define(f, names, result_name, id)
             }
             other => Err(self.err(format!("cannot parse opcode `{other}`"))),

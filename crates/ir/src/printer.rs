@@ -368,8 +368,8 @@ mod tests {
     fn named_values_are_unique() {
         let mut f = Function::new("n");
         let x = f.add_param("x", Type::I64);
-        let a = f.push(Opcode::Add, Type::I64, vec![x, x], InstAttr::None);
-        let b = f.push(Opcode::Add, Type::I64, vec![a, x], InstAttr::None);
+        let a = f.push(Opcode::Add, Type::I64, [x, x], InstAttr::None);
+        let b = f.push(Opcode::Add, Type::I64, [a, x], InstAttr::None);
         f.set_value_name(a, "t");
         f.set_value_name(b, "t");
         let text = print_function(&f);

@@ -733,11 +733,11 @@ mod tests {
         let mut f = Function::new("bad");
         let a = f.add_param("a", Type::I64);
         // Create an instruction, remove it from the body, then use it.
-        let orphan = f.push(Opcode::Add, Type::I64, vec![a, a], InstAttr::None);
+        let orphan = f.push(Opcode::Add, Type::I64, [a, a], InstAttr::None);
         let mut dead = HashSet::default();
         dead.insert(orphan);
         f.remove_from_body(&dead);
-        f.push(Opcode::Add, Type::I64, vec![orphan, a], InstAttr::None);
+        f.push(Opcode::Add, Type::I64, [orphan, a], InstAttr::None);
         let err = verify_function(&f).unwrap_err();
         assert!(err.message.contains("before definition"), "{err}");
     }
@@ -747,7 +747,7 @@ mod tests {
         let mut f = Function::new("bad");
         let a = f.add_param("a", Type::I64);
         let b = f.add_param("b", Type::F64);
-        f.push(Opcode::Add, Type::I64, vec![a, b], InstAttr::None);
+        f.push(Opcode::Add, Type::I64, [a, b], InstAttr::None);
         assert!(verify_function(&f).is_err());
     }
 
@@ -755,11 +755,11 @@ mod tests {
     fn use_before_def_names_the_offender() {
         let mut f = Function::new("bad");
         let a = f.add_param("a", Type::I64);
-        let orphan = f.push(Opcode::Add, Type::I64, vec![a, a], InstAttr::None);
+        let orphan = f.push(Opcode::Add, Type::I64, [a, a], InstAttr::None);
         let mut dead = HashSet::default();
         dead.insert(orphan);
         f.remove_from_body(&dead);
-        let user = f.push(Opcode::Add, Type::I64, vec![orphan, a], InstAttr::None);
+        let user = f.push(Opcode::Add, Type::I64, [orphan, a], InstAttr::None);
         let err = verify_function(&f).unwrap_err();
         assert_eq!(err.value, Some(user), "the *using* instruction is blamed");
         assert!(
@@ -774,7 +774,7 @@ mod tests {
         let mut f = Function::new("bad");
         let a = f.add_param("a", Type::I64);
         let b = f.add_param("b", Type::F64);
-        let mix = f.push(Opcode::Add, Type::I64, vec![a, b], InstAttr::None);
+        let mix = f.push(Opcode::Add, Type::I64, [a, b], InstAttr::None);
         let err = verify_function(&f).unwrap_err();
         assert_eq!(err.value, Some(mix));
         assert!(err.to_string().contains(&mix.to_string()), "{err}");
@@ -785,7 +785,7 @@ mod tests {
         let mut f = Function::new("bad");
         let a = f.add_param("a", Type::I64);
         let bogus = ValueId::from_raw(9999);
-        let user = f.push(Opcode::Add, Type::I64, vec![a, bogus], InstAttr::None);
+        let user = f.push(Opcode::Add, Type::I64, [a, bogus], InstAttr::None);
         let err = verify_function(&f).unwrap_err();
         assert_eq!(err.value, Some(user));
         assert!(err.message.contains("out of range"), "{err}");
@@ -795,7 +795,7 @@ mod tests {
     fn rejects_float_op_on_ints() {
         let mut f = Function::new("bad");
         let a = f.add_param("a", Type::I64);
-        f.push(Opcode::FAdd, Type::I64, vec![a, a], InstAttr::None);
+        f.push(Opcode::FAdd, Type::I64, [a, a], InstAttr::None);
         let err = verify_function(&f).unwrap_err();
         assert!(err.message.contains("wrong element class"), "{err}");
     }
@@ -805,7 +805,7 @@ mod tests {
         let mut f = Function::new("bad");
         let a = f.add_param("A", Type::PTR);
         let i = f.add_param("i", Type::I64);
-        f.push(Opcode::Gep, Type::PTR, vec![a, i], InstAttr::None);
+        f.push(Opcode::Gep, Type::PTR, [a, i], InstAttr::None);
         assert!(verify_function(&f).is_err());
     }
 
@@ -817,7 +817,7 @@ mod tests {
         let mut b = FunctionBuilder::new(&mut f);
         let v = b.load(vty, a);
         let idx = f.const_i64(5);
-        f.push(Opcode::ExtractElement, Type::F64, vec![v, idx], InstAttr::None);
+        f.push(Opcode::ExtractElement, Type::F64, [v, idx], InstAttr::None);
         let err = verify_function(&f).unwrap_err();
         assert!(err.message.contains("out of range"), "{err}");
     }
@@ -826,7 +826,7 @@ mod tests {
     fn rejects_duplicate_body_entry() {
         let mut f = Function::new("bad");
         let a = f.add_param("a", Type::I64);
-        let add = f.push(Opcode::Add, Type::I64, vec![a, a], InstAttr::None);
+        let add = f.push(Opcode::Add, Type::I64, [a, a], InstAttr::None);
         // Manually duplicate via insert of the same id is not possible through
         // the API, so simulate by pushing a twin and checking dedup logic on a
         // cloned body instead: duplicate through remove+2x not available, so
@@ -837,7 +837,7 @@ mod tests {
         let _ = add;
         assert!(verify_function(&g).is_ok());
         // Push a second, identical instruction; that's fine (unique ids).
-        g.push(Opcode::Add, Type::I64, vec![a, a], InstAttr::None);
+        g.push(Opcode::Add, Type::I64, [a, a], InstAttr::None);
         assert!(verify_function(&g).is_ok());
     }
 
@@ -846,7 +846,7 @@ mod tests {
         let mut f = Function::new("bad");
         let a = f.add_param("A", Type::PTR);
         let x = f.add_param("x", Type::I64);
-        f.push(Opcode::Store, Type::I64, vec![x, a], InstAttr::None);
+        f.push(Opcode::Store, Type::I64, [x, a], InstAttr::None);
         assert!(verify_function(&f).is_err());
     }
 
@@ -855,10 +855,10 @@ mod tests {
         let mut f = Function::new("t");
         let a = f.add_param("a", Type::I64);
         let b = f.add_param("b", Type::F64);
-        f.push(Opcode::Add, Type::I64, vec![a, a], InstAttr::None);
+        f.push(Opcode::Add, Type::I64, [a, a], InstAttr::None);
         assert!(verify_function(&f).is_ok());
         let mark = f.begin_txn();
-        let bad = f.push(Opcode::Add, Type::I64, vec![a, b], InstAttr::None);
+        let bad = f.push(Opcode::Add, Type::I64, [a, b], InstAttr::None);
         let touched = f.touched_since(mark).unwrap();
         assert!(touched.contains(&bad));
         let err = touched_verdict(&f, &touched).unwrap_err();
@@ -879,8 +879,8 @@ mod tests {
         // touches, and their users get checked.
         let mut f = Function::new("t");
         let a = f.add_param("a", Type::I64);
-        let x = f.push(Opcode::Add, Type::I64, vec![a, a], InstAttr::None);
-        let y = f.push(Opcode::Mul, Type::I64, vec![x, x], InstAttr::None);
+        let x = f.push(Opcode::Add, Type::I64, [a, a], InstAttr::None);
+        let y = f.push(Opcode::Mul, Type::I64, [x, x], InstAttr::None);
         let mark = f.begin_txn();
         let moved = f.remove_at(0);
         f.insert_value(1, moved);
@@ -900,7 +900,7 @@ mod tests {
     fn incremental_verify_catches_duplicates() {
         let mut f = Function::new("t");
         let a = f.add_param("a", Type::I64);
-        let x = f.push(Opcode::Add, Type::I64, vec![a, a], InstAttr::None);
+        let x = f.push(Opcode::Add, Type::I64, [a, a], InstAttr::None);
         let mark = f.begin_txn();
         f.insert_value(1, x);
         let err = touched_verdict(&f, &f.touched_since(mark).unwrap()).unwrap_err();
@@ -914,14 +914,14 @@ mod tests {
         let mut f = Function::new("t");
         let a = f.add_param("a", Type::I64);
         let b = f.add_param("b", Type::F64);
-        let x = f.push(Opcode::Add, Type::I64, vec![a, a], InstAttr::None);
-        let user = f.push(Opcode::Mul, Type::I64, vec![x, x], InstAttr::None);
+        let x = f.push(Opcode::Add, Type::I64, [a, a], InstAttr::None);
+        let user = f.push(Opcode::Mul, Type::I64, [x, x], InstAttr::None);
         let mark = f.begin_txn();
         if let Some(i) = f.inst_mut(x) {
             // Retype x to a (valid) float add; `user` is now a Mul over F64.
             i.ty = Type::F64;
             i.op = Opcode::FAdd;
-            i.args = vec![b, b];
+            i.args = [b, b].into();
         }
         let touched = f.touched_since(mark).unwrap();
         assert!(touched.contains(&x) && !touched.contains(&user));
@@ -940,7 +940,7 @@ mod tests {
             entry,
             Opcode::ICmp,
             Type::Scalar(ScalarType::I8),
-            vec![x, x],
+            [x, x],
             InstAttr::IntPred(crate::IntPred::Slt),
         );
         f.set_term(
@@ -991,7 +991,7 @@ mod tests {
             entry,
             Opcode::ICmp,
             Type::Scalar(ScalarType::I8),
-            vec![x, x],
+            [x, x],
             InstAttr::IntPred(crate::IntPred::Slt),
         );
         f.set_term(
@@ -1004,12 +1004,11 @@ mod tests {
                 else_args: vec![],
             },
         );
-        let n = f.push_in_block(then_b, Opcode::Sub, Type::I64, vec![x, x], InstAttr::None);
+        let n = f.push_in_block(then_b, Opcode::Sub, Type::I64, [x, x], InstAttr::None);
         f.set_term(then_b, Terminator::Jump { target: join, args: vec![] });
         f.set_term(else_b, Terminator::Jump { target: join, args: vec![] });
-        let user =
-            f.push_in_block(join, Opcode::Gep, Type::PTR, vec![a, n], InstAttr::ElemBytes(8));
-        f.push_in_block(join, Opcode::Store, Type::Void, vec![x, user], InstAttr::None);
+        let user = f.push_in_block(join, Opcode::Gep, Type::PTR, [a, n], InstAttr::ElemBytes(8));
+        f.push_in_block(join, Opcode::Store, Type::Void, [x, user], InstAttr::None);
         let err = verify_function(&f).unwrap_err();
         assert_eq!(err.value, Some(user), "the cross-block user is blamed");
         assert!(err.message.contains(&n.to_string()), "names the non-dominating def: {err}");
@@ -1084,9 +1083,9 @@ mod tests {
         let acc = f.add_block_param(body, Some("acc".into()), Type::I64);
         let sum = f.add_block_param(exit, Some("sum".into()), Type::I64);
         f.set_term(entry, Terminator::Loop { trip: t, body, init: vec![z], exit });
-        let nx = f.push_in_block(body, Opcode::Add, Type::I64, vec![acc, i], InstAttr::None);
+        let nx = f.push_in_block(body, Opcode::Add, Type::I64, [acc, i], InstAttr::None);
         f.set_term(body, Terminator::Continue { args: vec![nx] });
-        f.push_in_block(exit, Opcode::Store, Type::Void, vec![sum, a], InstAttr::None);
+        f.push_in_block(exit, Opcode::Store, Type::Void, [sum, a], InstAttr::None);
         verify_function(&f).unwrap();
         // The incremental entry delegates to the full CFG verifier.
         touched_verdict(&f, &HashSet::default()).unwrap();
@@ -1098,7 +1097,7 @@ mod tests {
         m.functions.push(Function::new("fine"));
         let mut bad = Function::new("broken");
         let a = bad.add_param("a", Type::I64);
-        bad.push(Opcode::FAdd, Type::I64, vec![a, a], InstAttr::None);
+        bad.push(Opcode::FAdd, Type::I64, [a, a], InstAttr::None);
         m.functions.push(bad);
         let err = verify_module(&m).unwrap_err();
         assert_eq!(err.function, "broken");

@@ -192,10 +192,19 @@ fn untagged_burst_keeps_strict_fifo_order() {
 
 /// A miss's `us=` covers its wait in the queue, not just its compile: with
 /// one worker, a small kernel pipelined behind a heavy one waits for the
-/// heavy compile, so it reports more time than the heavy request itself.
+/// heavy compile, so it reports far more than the same-size kernel
+/// compiled alone.
+///
+/// The queued request's clock starts at its own frame decode, which comes
+/// only after the heavy frame was parsed and probed, so it may report a
+/// little less than the heavy request itself; the bounds leave that gap
+/// room: at least half the heavy request's time, and well above a solo
+/// miss of a same-size kernel sent first under another name.
 #[test]
 fn miss_latency_includes_the_queue_wait() {
     let (addr, daemon) = Server::spawn(ServerConfig { workers: 1, ..test_config() }).unwrap();
+    let mut solo = CompileRequest::new(&small_kernel(901));
+    solo.tag = Some("solo".into());
     let heavy = big_kernel("qwait", 64);
     let mut first = CompileRequest { timeout_ms: Some(60_000), ..CompileRequest::new(&heavy) };
     first.tag = Some("heavy".into());
@@ -203,14 +212,17 @@ fn miss_latency_includes_the_queue_wait() {
     second.tag = Some("small".into());
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-    let responses = burst(&mut stream, &[first.to_line(), second.to_line()], 2);
+    let mut responses = burst(&mut stream, &[solo.to_line()], 1);
+    responses.extend(burst(&mut stream, &[first.to_line(), second.to_line()], 2));
     let us = |tag: &str| -> u64 {
-        let r = responses.iter().find(|r| r.tag() == Some(tag)).expect("both tags answered");
+        let r = responses.iter().find(|r| r.tag() == Some(tag)).expect("every tag answered");
         assert!(r.ok && r.field("cached") == Some("miss"), "{r:?}");
         r.field("us").and_then(|v| v.parse().ok()).expect("us= on every OK")
     };
-    let (heavy_us, small_us) = (us("heavy"), us("small"));
-    assert!(small_us > heavy_us, "queued miss reports {small_us} us, the heavy one {heavy_us} us");
+    let (solo_us, heavy_us, small_us) = (us("solo"), us("heavy"), us("small"));
+    let report = format!("queued miss {small_us} us, heavy {heavy_us} us, solo {solo_us} us");
+    assert!(2 * small_us > heavy_us, "{report}");
+    assert!(small_us > 4 * solo_us, "{report}");
     let mut ctl = Client::connect(addr).unwrap();
     ctl.shutdown().unwrap();
     daemon.join().unwrap().unwrap();

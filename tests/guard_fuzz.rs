@@ -227,7 +227,7 @@ fn random_mutations(f: &mut lslp_ir::Function, seed: u64, count: usize) {
             }
             2 => {
                 let (a, b) = (pick(&mut s), pick(&mut s));
-                f.push(Opcode::Add, Type::I64, vec![a, b], InstAttr::None);
+                f.push(Opcode::Add, Type::I64, [a, b], InstAttr::None);
             }
             3 => {
                 let v = pick(&mut s);
@@ -362,18 +362,17 @@ fn random_commit_edits(f: &mut lslp_ir::Function, seed: u64, count: usize) {
             0 => {
                 if let (Some(a), Some(b)) = (earlier(&mut s, Type::I64), earlier(&mut s, Type::I64))
                 {
-                    f.insert(at, Opcode::Add, Type::I64, vec![a, b], InstAttr::None);
+                    f.insert(at, Opcode::Add, Type::I64, [a, b], InstAttr::None);
                 }
             }
             1 => {
                 if let Some(p) = earlier(&mut s, Type::PTR) {
                     let i = earlier(&mut s, Type::I64).unwrap_or_else(|| f.const_i64(1));
-                    let g =
-                        f.insert(at, Opcode::Gep, Type::PTR, vec![p, i], InstAttr::ElemBytes(8));
-                    let l = f.create(Opcode::Load, Type::I64, vec![g], InstAttr::None);
+                    let g = f.insert(at, Opcode::Gep, Type::PTR, [p, i], InstAttr::ElemBytes(8));
+                    let l = f.create(Opcode::Load, Type::I64, [g], InstAttr::None);
                     f.insert_value(at + 1, l);
                     if next_rand(&mut s).is_multiple_of(2) {
-                        f.insert(at + 2, Opcode::Store, Type::Void, vec![l, g], InstAttr::None);
+                        f.insert(at + 2, Opcode::Store, Type::Void, [l, g], InstAttr::None);
                     }
                 }
             }
@@ -415,7 +414,7 @@ fn random_commit_edits(f: &mut lslp_ir::Function, seed: u64, count: usize) {
             }
             _ => {
                 let c = f.const_i64((next_rand(&mut s) % 5) as i64);
-                f.create(Opcode::Add, Type::I64, vec![c, c], InstAttr::None);
+                f.create(Opcode::Add, Type::I64, [c, c], InstAttr::None);
             }
         }
     }
@@ -590,7 +589,7 @@ fn random_cfg_mutations(f: &mut lslp_ir::Function, seed: u64, count: usize) {
             2 => {
                 let b = pick_block(&mut s);
                 let (x, y) = (pick(&mut s), pick(&mut s));
-                f.push_in_block(b, Opcode::Add, Type::I64, vec![x, y], InstAttr::None);
+                f.push_in_block(b, Opcode::Add, Type::I64, [x, y], InstAttr::None);
             }
             3 => {
                 let b = pick_block(&mut s);
@@ -736,7 +735,7 @@ fn delta_rollback_is_cheaper_than_snapshot_restore() {
         let mid = f.body_len() / 2;
         let (a, b) = (f.body()[0], f.body()[mid]);
         for k in 0..4 {
-            let v = f.create(Opcode::Add, f.ty(a), vec![a, b], InstAttr::None);
+            let v = f.create(Opcode::Add, f.ty(a), [a, b], InstAttr::None);
             f.insert_value(mid + 1 + k, v);
         }
     }

@@ -266,11 +266,11 @@ fn void_store_kernel() -> Function {
     let x = f.add_param("x", Type::I64);
     let i = f.add_param("i", Type::I64);
     let one = f.const_i64(1);
-    let g0 = f.push(Opcode::Gep, Type::PTR, vec![pa, i], lslp_ir::InstAttr::ElemBytes(8));
-    let s0 = f.push(Opcode::Store, Type::Void, vec![x, g0], lslp_ir::InstAttr::None);
-    let i1 = f.push(Opcode::Add, Type::I64, vec![i, one], lslp_ir::InstAttr::None);
-    let g1 = f.push(Opcode::Gep, Type::PTR, vec![pa, i1], lslp_ir::InstAttr::ElemBytes(8));
-    let _s1 = f.push(Opcode::Store, Type::Void, vec![s0, g1], lslp_ir::InstAttr::None);
+    let g0 = f.push(Opcode::Gep, Type::PTR, [pa, i], lslp_ir::InstAttr::ElemBytes(8));
+    let s0 = f.push(Opcode::Store, Type::Void, [x, g0], lslp_ir::InstAttr::None);
+    let i1 = f.push(Opcode::Add, Type::I64, [i, one], lslp_ir::InstAttr::None);
+    let g1 = f.push(Opcode::Gep, Type::PTR, [pa, i1], lslp_ir::InstAttr::ElemBytes(8));
+    let _s1 = f.push(Opcode::Store, Type::Void, [s0, g1], lslp_ir::InstAttr::None);
     f
 }
 
